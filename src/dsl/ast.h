@@ -115,7 +115,8 @@ struct TriggerDecl {
   std::vector<ExprPtr> args;
 };
 
-// A key = literal attribute inside `meta: { ... }`.
+// A `key = literal` attribute of an attribute block (meta, health, chaos,
+// persist, retention; see src/dsl/schema.h).
 struct MetaAttr {
   std::string key;
   Value value;
@@ -136,58 +137,28 @@ struct GuardrailDecl {
   bool has_health = false;
 };
 
-// One injection site inside a chaos block:
-//   site <name> { mode = bernoulli, p = 0.01, latency = 2ms }
-// Attributes reuse the meta `key = literal` shape (plus {..} lists for the
-// schedule mode's `nth`); semantic analysis validates the vocabulary.
-struct ChaosSiteDecl {
-  std::string name;
+// A top-level attribute block or one of its labelled children:
+//   chaos { seed = 7, site ssd.latency_spike { mode = bernoulli, p = 0.01 } }
+//   persist { interval = 10s, journal_budget = 1048576 }
+//   retention { scan_chunk = 64, namespace "agent.s" { idle_ttl = 30s } }
+// Attributes reuse the meta `key = literal` shape (plus {..} lists);
+// src/dsl/schema.h lists each block's attributes and child form, and
+// semantic analysis validates them. An absent block leaves its subsystem
+// off.
+struct BlockDecl {
+  std::string label;  // a child's site name or namespace prefix
   int line = 0;
   std::vector<MetaAttr> attrs;
-};
-
-// A top-level `chaos { seed = N, site ... }` block configuring the
-// fault-injection engine alongside the guardrails it is meant to exercise.
-struct ChaosDecl {
-  int line = 0;
-  std::vector<MetaAttr> attrs;  // block-level attributes (seed)
-  std::vector<ChaosSiteDecl> sites;
-};
-
-// A top-level `persist { interval = 10s, journal_budget = 1048576 }` block
-// configuring crash-consistent state (osguard::persist). Absent means
-// persistence stays off — the off == absent convention chaos established.
-struct PersistDecl {
-  int line = 0;
-  std::vector<MetaAttr> attrs;
-};
-
-// One namespace inside a retention block:
-//   namespace "agent.s" { max_keys = 4096, idle_ttl = 30s }
-// The prefix is a string literal (namespaces contain dots, which the
-// identifier grammar would split). Attributes reuse the meta shape.
-struct RetentionNamespaceDecl {
-  std::string prefix;
-  int line = 0;
-  std::vector<MetaAttr> attrs;
-};
-
-// A top-level `retention { scan_chunk = 64, namespace ... }` block
-// configuring bounded-memory key lifecycle (docs/STORE.md). Absent means
-// reclamation stays off — the off == absent convention chaos established.
-struct RetentionDecl {
-  int line = 0;
-  std::vector<MetaAttr> attrs;  // block-level attributes (scan_chunk)
-  std::vector<RetentionNamespaceDecl> namespaces;
+  std::vector<BlockDecl> children;
 };
 
 // A parsed spec file: guardrail declarations plus optional chaos / persist /
 // retention blocks.
 struct SpecFile {
   std::vector<GuardrailDecl> guardrails;
-  std::optional<ChaosDecl> chaos;
-  std::optional<PersistDecl> persist;
-  std::optional<RetentionDecl> retention;
+  std::optional<BlockDecl> chaos;
+  std::optional<BlockDecl> persist;
+  std::optional<BlockDecl> retention;
 };
 
 }  // namespace osguard

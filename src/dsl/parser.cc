@@ -39,9 +39,10 @@ Status Parser::ErrorAt(const Token& token, const std::string& message) const {
                     std::to_string(token.line) + ", column " + std::to_string(token.column) + ")");
 }
 
-Result<Token> Parser::Expect(TokenKind kind, const std::string& context) {
+Result<Token> Parser::Expect(TokenKind kind, std::string_view context) {
   if (!Check(kind)) {
-    return ErrorAt(Peek(), "expected " + std::string(TokenKindName(kind)) + " " + context);
+    return ErrorAt(Peek(), "expected " + std::string(TokenKindName(kind)) + " " +
+                               std::string(context));
   }
   return Advance();
 }
@@ -49,39 +50,26 @@ Result<Token> Parser::Expect(TokenKind kind, const std::string& context) {
 Result<SpecFile> Parser::ParseSpec() {
   SpecFile spec;
   while (!Check(TokenKind::kEof)) {
-    // `chaos` is a contextual keyword: only `chaos {` at the top level opens
-    // a chaos block, so feature-store keys named "chaos" keep working.
-    if (Check(TokenKind::kIdent) && Peek().text == "chaos" &&
-        Peek(1).kind == TokenKind::kLBrace) {
-      if (spec.chaos.has_value()) {
-        return ErrorAt(Peek(), "duplicate chaos block");
+    // Top-level block keywords are contextual: only `chaos {` opens a chaos
+    // block, so feature-store keys named "chaos" keep working.
+    const BlockSchema* block = nullptr;
+    for (const BlockSchema* top : kTopLevelBlocks) {
+      if (Check(TokenKind::kIdent) && Peek().text == top->keyword &&
+          Peek(1).kind == TokenKind::kLBrace) {
+        block = top;
       }
-      OSGUARD_ASSIGN_OR_RETURN(ChaosDecl chaos, ParseChaosBlock());
-      spec.chaos = std::move(chaos);
+    }
+    if (block == nullptr) {
+      OSGUARD_ASSIGN_OR_RETURN(GuardrailDecl decl, ParseGuardrail());
+      spec.guardrails.push_back(std::move(decl));
       continue;
     }
-    // `persist` is contextual the same way.
-    if (Check(TokenKind::kIdent) && Peek().text == "persist" &&
-        Peek(1).kind == TokenKind::kLBrace) {
-      if (spec.persist.has_value()) {
-        return ErrorAt(Peek(), "duplicate persist block");
-      }
-      OSGUARD_ASSIGN_OR_RETURN(PersistDecl persist, ParsePersistBlock());
-      spec.persist = std::move(persist);
-      continue;
+    std::optional<BlockDecl>& slot = spec.*block->slot;
+    if (slot.has_value()) {
+      return ErrorAt(Peek(), "duplicate " + std::string(block->keyword) + " block");
     }
-    // `retention` is contextual the same way.
-    if (Check(TokenKind::kIdent) && Peek().text == "retention" &&
-        Peek(1).kind == TokenKind::kLBrace) {
-      if (spec.retention.has_value()) {
-        return ErrorAt(Peek(), "duplicate retention block");
-      }
-      OSGUARD_ASSIGN_OR_RETURN(RetentionDecl retention, ParseRetentionBlock());
-      spec.retention = std::move(retention);
-      continue;
-    }
-    OSGUARD_ASSIGN_OR_RETURN(GuardrailDecl decl, ParseGuardrail());
-    spec.guardrails.push_back(std::move(decl));
+    slot.emplace().line = Advance().line;
+    OSGUARD_RETURN_IF_ERROR(ParseBlockBody(*block, *slot));
   }
   if (spec.guardrails.empty() && !spec.chaos.has_value() && !spec.persist.has_value() &&
       !spec.retention.has_value()) {
@@ -126,6 +114,7 @@ Result<GuardrailDecl> Parser::ParseGuardrail() {
   bool saw_trigger = false;
   bool saw_rule = false;
   bool saw_action = false;
+  bool saw_meta = false;
   while (!Check(TokenKind::kRBrace)) {
     const Token& section = Peek();
     switch (section.kind) {
@@ -163,22 +152,13 @@ Result<GuardrailDecl> Parser::ParseGuardrail() {
         OSGUARD_RETURN_IF_ERROR(ParseActionSection(decl.satisfy_actions));
         break;
       case TokenKind::kMeta:
-        if (!decl.meta.empty()) {
-          return ErrorAt(section, "duplicate meta section");
-        }
-        Advance();
-        OSGUARD_RETURN_IF_ERROR(ParseMetaSection(decl));
+        OSGUARD_RETURN_IF_ERROR(ParseSection(kMetaSchema, saw_meta, decl.meta));
         break;
       default:
         // `health` is contextual (an ident, not a keyword) so specs remain
         // free to use it as a store key or guardrail-name segment.
-        if (section.kind == TokenKind::kIdent && section.text == "health") {
-          if (decl.has_health) {
-            return ErrorAt(section, "duplicate health section");
-          }
-          decl.has_health = true;
-          Advance();
-          OSGUARD_RETURN_IF_ERROR(ParseHealthSection(decl));
+        if (section.kind == TokenKind::kIdent && section.text == kHealthSchema.keyword) {
+          OSGUARD_RETURN_IF_ERROR(ParseSection(kHealthSchema, decl.has_health, decl.health));
           break;
         }
         return ErrorAt(section,
@@ -304,78 +284,71 @@ Status Parser::ParseActionSection(std::vector<ExprPtr>& out) {
   return OkStatus();
 }
 
-Status Parser::ParseMetaSection(GuardrailDecl& decl) {
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kColon, "after 'meta'").status());
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kLBrace, "to open the meta block").status());
+// section := keyword ":" body, at most once per guardrail.
+Status Parser::ParseSection(const BlockSchema& block, bool& seen, std::vector<MetaAttr>& attrs) {
+  if (seen) {
+    return ErrorAt(Peek(), "duplicate " + std::string(block.keyword) + " section");
+  }
+  seen = true;
+  Advance();
+  if (!Match(TokenKind::kColon)) {
+    return Expect(TokenKind::kColon, "after '" + std::string(block.keyword) + "'").status();
+  }
+  BlockDecl body;
+  OSGUARD_RETURN_IF_ERROR(ParseBlockBody(block, body));
+  attrs = std::move(body.attrs);
+  return OkStatus();
+}
+
+// body  := "{" ((attr | child) [","|";"])* "}"
+// child := keyword label body, for the block's child row: site IDENT in
+// chaos, namespace STRING in retention (prefixes contain dots, which the
+// identifier grammar would split).
+Status Parser::ParseBlockBody(const BlockSchema& block, BlockDecl& out) {
+  // Diagnostic contexts are built only on failure: spec load stays
+  // allocation-light.
+  if (!Match(TokenKind::kLBrace)) {
+    return Expect(TokenKind::kLBrace, std::string("to open the ") + block.keyword +
+                                          (block.label == TokenKind::kEof ? " block" : " body"))
+        .status();
+  }
+  const BlockSchema* child = block.child;
   while (!Check(TokenKind::kRBrace)) {
-    OSGUARD_ASSIGN_OR_RETURN(Token key, Expect(TokenKind::kIdent, "as a meta attribute name"));
-    OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kAssign, "after the attribute name").status());
-    MetaAttr attr;
-    attr.key = key.text;
-    attr.line = key.line;
-    const Token& value = Peek();
-    switch (value.kind) {
-      case TokenKind::kIntLiteral:
-      case TokenKind::kDurationLiteral:
-        attr.value = Value(value.int_value);
-        break;
-      case TokenKind::kFloatLiteral:
-        attr.value = Value(value.float_value);
-        break;
-      case TokenKind::kTrue:
-        attr.value = Value(true);
-        break;
-      case TokenKind::kFalse:
-        attr.value = Value(false);
-        break;
-      case TokenKind::kStringLiteral:
-        attr.value = Value(value.text);
-        break;
-      case TokenKind::kIdent:
-        attr.value = Value(value.text);  // bare words as strings: severity = warning
-        break;
-      default:
-        return ErrorAt(value, "meta attribute values must be literals");
+    if (child != nullptr && Check(TokenKind::kIdent) && Peek().text == child->keyword) {
+      BlockDecl& node = out.children.emplace_back();
+      node.line = Advance().line;
+      if (!Check(child->label)) {
+        return Expect(child->label, std::string("as the ") + child->name + " " + child->label_what)
+            .status();
+      }
+      node.label = Advance().text;
+      OSGUARD_RETURN_IF_ERROR(ParseBlockBody(*child, node));
+    } else {
+      OSGUARD_ASSIGN_OR_RETURN(MetaAttr attr, ParseAttr(block));
+      out.attrs.push_back(std::move(attr));
     }
-    Advance();
-    decl.meta.push_back(std::move(attr));
     if (!Match(TokenKind::kComma)) {
       Match(TokenKind::kSemicolon);
     }
   }
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kRBrace, "to close the meta block").status());
+  Advance();  // consume '}'
   return OkStatus();
 }
 
-// health := "health" ":" "{" (attr [","|";"])* "}"
-// Supervisor attributes (budget_steps, quarantine, probation, ...); the
-// vocabulary and value ranges are validated by semantic analysis.
-Status Parser::ParseHealthSection(GuardrailDecl& decl) {
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kColon, "after 'health'").status());
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kLBrace, "to open the health block").status());
-  while (!Check(TokenKind::kRBrace)) {
-    OSGUARD_ASSIGN_OR_RETURN(MetaAttr attr, ParseAttr("health"));
-    decl.health.push_back(std::move(attr));
-    if (!Match(TokenKind::kComma)) {
-      Match(TokenKind::kSemicolon);
-    }
+// attr := IDENT "=" (literal | "{" [literal ("," literal)* [","]] "}")
+// Bare-word values become strings (mode = bernoulli); the schema's
+// semantic checks give them meaning.
+Result<MetaAttr> Parser::ParseAttr(const BlockSchema& block) {
+  if (!Check(TokenKind::kIdent)) {
+    return Expect(TokenKind::kIdent, std::string("as a ") + block.name + " attribute name")
+        .status();
   }
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kRBrace, "to close the health block").status());
-  return OkStatus();
-}
-
-// attr := IDENT "=" (literal | "{" literal ("," literal)* [","] "}")
-// Shared by chaos blocks; bare-word values become strings (mode = bernoulli)
-// exactly as in meta sections.
-Result<MetaAttr> Parser::ParseAttr(const char* context) {
-  OSGUARD_ASSIGN_OR_RETURN(
-      Token key, Expect(TokenKind::kIdent, std::string("as a ") + context + " attribute name"));
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kAssign, "after the attribute name").status());
   MetaAttr attr;
-  attr.key = key.text;
-  attr.line = key.line;
+  attr.line = Peek().line;
+  attr.key = Advance().text;
+  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kAssign, "after the attribute name").status());
 
-  auto literal_value = [this](const Token& token) -> Result<Value> {
+  auto literal_value = [&](const Token& token) -> Result<Value> {
     switch (token.kind) {
       case TokenKind::kIntLiteral:
       case TokenKind::kDurationLiteral:
@@ -390,11 +363,13 @@ Result<MetaAttr> Parser::ParseAttr(const char* context) {
       case TokenKind::kIdent:
         return Value(token.text);
       default:
-        return ErrorAt(token, std::string("attribute values must be literals"));
+        return ErrorAt(token, block.lists ? std::string("attribute values must be literals")
+                                          : std::string(block.name) +
+                                                " attribute values must be literals");
     }
   };
 
-  if (Check(TokenKind::kLBrace)) {
+  if (block.lists && Check(TokenKind::kLBrace)) {
     // {10, 20, 30} — list-valued attribute (the schedule mode's `nth`).
     Advance();
     std::vector<Value> elements;
@@ -413,100 +388,6 @@ Result<MetaAttr> Parser::ParseAttr(const char* context) {
     Advance();
   }
   return attr;
-}
-
-// chaos := "chaos" "{" (attr | site)* "}"
-// site  := "site" IDENT "{" attr* "}"
-Result<ChaosDecl> Parser::ParseChaosBlock() {
-  ChaosDecl decl;
-  decl.line = Peek().line;
-  Advance();  // consume 'chaos'
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kLBrace, "to open the chaos block").status());
-  while (!Check(TokenKind::kRBrace)) {
-    if (Check(TokenKind::kIdent) && Peek().text == "site") {
-      const Token& site_kw = Advance();
-      ChaosSiteDecl site;
-      site.line = site_kw.line;
-      OSGUARD_ASSIGN_OR_RETURN(Token name, Expect(TokenKind::kIdent, "as the chaos site name"));
-      site.name = name.text;
-      OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kLBrace, "to open the site body").status());
-      while (!Check(TokenKind::kRBrace)) {
-        OSGUARD_ASSIGN_OR_RETURN(MetaAttr attr, ParseAttr("chaos site"));
-        site.attrs.push_back(std::move(attr));
-        if (!Match(TokenKind::kComma)) {
-          Match(TokenKind::kSemicolon);
-        }
-      }
-      OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kRBrace, "to close the site body").status());
-      decl.sites.push_back(std::move(site));
-    } else {
-      OSGUARD_ASSIGN_OR_RETURN(MetaAttr attr, ParseAttr("chaos"));
-      decl.attrs.push_back(std::move(attr));
-    }
-    if (!Match(TokenKind::kComma)) {
-      Match(TokenKind::kSemicolon);
-    }
-  }
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kRBrace, "to close the chaos block").status());
-  return decl;
-}
-
-// persist := "persist" "{" attr* "}"
-Result<PersistDecl> Parser::ParsePersistBlock() {
-  PersistDecl decl;
-  decl.line = Peek().line;
-  Advance();  // consume 'persist'
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kLBrace, "to open the persist block").status());
-  while (!Check(TokenKind::kRBrace)) {
-    OSGUARD_ASSIGN_OR_RETURN(MetaAttr attr, ParseAttr("persist"));
-    decl.attrs.push_back(std::move(attr));
-    if (!Match(TokenKind::kComma)) {
-      Match(TokenKind::kSemicolon);
-    }
-  }
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kRBrace, "to close the persist block").status());
-  return decl;
-}
-
-// retention := "retention" "{" (attr | namespace)* "}"
-// namespace := "namespace" STRING "{" attr* "}"
-// The prefix is a string literal because namespaces contain dots
-// ("agent.s"), which the identifier grammar would split.
-Result<RetentionDecl> Parser::ParseRetentionBlock() {
-  RetentionDecl decl;
-  decl.line = Peek().line;
-  Advance();  // consume 'retention'
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kLBrace, "to open the retention block").status());
-  while (!Check(TokenKind::kRBrace)) {
-    if (Check(TokenKind::kIdent) && Peek().text == "namespace") {
-      const Token& ns_kw = Advance();
-      RetentionNamespaceDecl ns;
-      ns.line = ns_kw.line;
-      OSGUARD_ASSIGN_OR_RETURN(
-          Token prefix,
-          Expect(TokenKind::kStringLiteral, "as the retention namespace prefix"));
-      ns.prefix = prefix.text;
-      OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kLBrace, "to open the namespace body").status());
-      while (!Check(TokenKind::kRBrace)) {
-        OSGUARD_ASSIGN_OR_RETURN(MetaAttr attr, ParseAttr("retention namespace"));
-        ns.attrs.push_back(std::move(attr));
-        if (!Match(TokenKind::kComma)) {
-          Match(TokenKind::kSemicolon);
-        }
-      }
-      OSGUARD_RETURN_IF_ERROR(
-          Expect(TokenKind::kRBrace, "to close the namespace body").status());
-      decl.namespaces.push_back(std::move(ns));
-    } else {
-      OSGUARD_ASSIGN_OR_RETURN(MetaAttr attr, ParseAttr("retention"));
-      decl.attrs.push_back(std::move(attr));
-    }
-    if (!Match(TokenKind::kComma)) {
-      Match(TokenKind::kSemicolon);
-    }
-  }
-  OSGUARD_RETURN_IF_ERROR(Expect(TokenKind::kRBrace, "to close the retention block").status());
-  return decl;
 }
 
 Result<ExprPtr> Parser::ParseExpr() { return ParseOr(); }

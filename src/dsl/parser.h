@@ -2,38 +2,50 @@
 //
 // Grammar (extends Listing 1 / Listing 2 of the paper):
 //
-//   spec       := (guardrail | chaos | persist)*
-//   guardrail  := "guardrail" IDENT "{" section* "}"
-//   chaos      := "chaos" "{" (attr | site)* "}"        -- fault injection
-//   persist    := "persist" "{" attr* "}"               -- crash consistency
-//   site       := "site" IDENT "{" attr* "}"
-//   attr       := IDENT "=" (literal | "{" literal-list "}")
+//   spec       := (guardrail | chaos | persist | retention)+
+//   guardrail  := "guardrail" IDENT ("-" word)* "{" (section [","])* "}"
 //   section    := "trigger"    ":" "{" trigger ("," trigger)* [","] "}"
 //              |  "rule"       ":" "{" expr ("," expr)* [","] "}"
 //              |  "action"     ":" "{" stmt* "}"
 //              |  "on_satisfy" ":" "{" stmt* "}"
-//              |  "meta"       ":" "{" (IDENT "=" literal [","|";"])* "}"
-//              |  "health"     ":" "{" (attr [","|";"])* "}"   -- supervisor
+//              |  "meta"       ":" body            -- scalar values only
+//              |  "health"     ":" body            -- supervisor
+//   chaos      := "chaos" body                     -- fault injection
+//   persist    := "persist" body                   -- crash consistency
+//   retention  := "retention" body                 -- bounded store
+//   body       := "{" ((attr | child) [","|";"])* "}"
+//   child      := "site" IDENT body                -- in chaos only
+//              |  "namespace" STRING body          -- in retention only
+//   attr       := IDENT "=" (literal | "{" [literal ("," literal)* [","]] "}")
+//   literal    := INT | FLOAT | DURATION | STRING | "true" | "false" | IDENT
 //   trigger    := "TIMER" "(" expr "," expr ["," expr] ")"
 //              |  "FUNCTION" "(" IDENT ")"
-//   stmt       := call [";"]
+//              |  "ONCHANGE" "(" IDENT ")"
+//   stmt       := call [";" | ","]
 //   expr       := or-chain of and-chains of comparisons of additive terms
 //   primary    := literal | IDENT | call | "(" expr ")" | "{" exprlist "}"
 //   call       := IDENT "(" [expr ("," expr)*] ")"
+//
+// A spec holds each top-level block and each guardrail section at most
+// once. src/dsl/schema.h lists every block's attributes.
 //
 // Notes:
 //  * Bare identifiers in rule expressions are implicit LOADs of feature-store
 //    keys, so `latency <= 20ms` works as the paper writes it.
 //  * Duration literals (1s, 250ms, 1e9) are int nanoseconds.
 //  * Comparisons are non-associative (a < b < c is a parse error).
+//  * health, chaos, persist, retention, site and namespace are contextual
+//    keywords, so feature-store keys may still use those names.
 
 #ifndef SRC_DSL_PARSER_H_
 #define SRC_DSL_PARSER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/dsl/ast.h"
+#include "src/dsl/schema.h"
 #include "src/dsl/token.h"
 #include "src/support/status.h"
 
@@ -55,20 +67,17 @@ class Parser {
   const Token& Advance();
   bool Check(TokenKind kind) const { return Peek().kind == kind; }
   bool Match(TokenKind kind);
-  Result<Token> Expect(TokenKind kind, const std::string& context);
+  Result<Token> Expect(TokenKind kind, std::string_view context);
   Status ErrorAt(const Token& token, const std::string& message) const;
 
   Result<GuardrailDecl> ParseGuardrail();
   Status ParseTriggerSection(GuardrailDecl& decl);
   Status ParseRuleSection(GuardrailDecl& decl);
   Status ParseActionSection(std::vector<ExprPtr>& out);
-  Status ParseMetaSection(GuardrailDecl& decl);
-  Status ParseHealthSection(GuardrailDecl& decl);
+  Status ParseSection(const BlockSchema& block, bool& seen, std::vector<MetaAttr>& attrs);
   Result<TriggerDecl> ParseTrigger();
-  Result<ChaosDecl> ParseChaosBlock();
-  Result<PersistDecl> ParsePersistBlock();
-  Result<RetentionDecl> ParseRetentionBlock();
-  Result<MetaAttr> ParseAttr(const char* context);
+  Status ParseBlockBody(const BlockSchema& block, BlockDecl& out);
+  Result<MetaAttr> ParseAttr(const BlockSchema& block);
 
   Result<ExprPtr> ParseExpr();
   Result<ExprPtr> ParseOr();

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <unordered_set>
+
+#include "src/dsl/schema.h"
 
 namespace osguard {
 
@@ -255,340 +258,205 @@ Status FoldTimerTrigger(TriggerDecl& trigger, const std::string& guardrail_name)
   return OkStatus();
 }
 
-Result<GuardrailMeta> AnalyzeMeta(const GuardrailDecl& decl) {
-  GuardrailMeta meta;
-  for (const MetaAttr& attr : decl.meta) {
-    const std::string loc = " (guardrail '" + decl.name + "', line " + std::to_string(attr.line) + ")";
-    if (attr.key == "severity") {
-      OSGUARD_ASSIGN_OR_RETURN(std::string s, attr.value.AsString());
-      if (s == "info") {
-        meta.severity = Severity::kInfo;
-      } else if (s == "warning") {
-        meta.severity = Severity::kWarning;
-      } else if (s == "critical") {
-        meta.severity = Severity::kCritical;
-      } else {
-        return SemanticError("severity must be info|warning|critical" + loc);
+// Line context of a block diagnostic: " (guardrail 'g', line 3)" and
+// " (chaos site 's', line 3)" for labelled blocks, " (persist block,
+// line 2)" for unlabelled ones.
+std::string At(std::string_view owner, const std::string* label, int line) {
+  std::string out = " (" + std::string(owner);
+  out += label != nullptr ? " '" + *label + "'" : std::string(" block");
+  return out + ", line " + std::to_string(line) + ")";
+}
+
+// "a", "a or b", "a, b, or c": the keys a block accepts.
+std::string KeyList(const BlockSchema& block) {
+  const size_t n = block.attrs.size();
+  std::string out;
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0) {
+      out += n == 2 ? " or " : (i + 1 == n ? ", or " : ", ");
+    }
+    out += block.attrs[i].key;
+  }
+  return out;
+}
+
+// Validates each attribute against `block`'s rows and stores it into its
+// field of `out`, the block's output struct. Returns the rows seen: bit i
+// stands for block.attrs[i].
+Result<uint64_t> AssignAttrs(const BlockSchema& block, const std::vector<MetaAttr>& attrs,
+                             std::string_view owner, const std::string* label, void* out) {
+  uint64_t seen = 0;
+  for (const MetaAttr& attr : attrs) {
+    auto error = [&](const std::string& message) {
+      return SemanticError(message + At(owner, label, attr.line));
+    };
+    const AttrSchema* row = FindAttr(block, attr.key);
+    if (row == nullptr) {
+      return error("unknown " + std::string(block.name) + " attribute '" + attr.key +
+                   "' (expected " + KeyList(block) + ")");
+    }
+    const uint64_t bit = uint64_t{1} << (row - block.attrs.data());
+    if ((seen & bit) != 0) {
+      return error("duplicate " + std::string(block.name) + " attribute '" + attr.key + "'");
+    }
+    seen |= bit;
+    const Value& value = attr.value;
+    int64_t i = 0;
+    double d = 0.0;
+    switch (row->type) {
+      case AttrType::kInt:
+      case AttrType::kDuration:
+      case AttrType::kBytes:
+      case AttrType::kIntList:
+        for (const Value& element :
+             row->type == AttrType::kIntList ? Elements(value) : std::span(&value, 1)) {
+          // AsInt truncates a float; one outside int64 would be undefined.
+          if (element.type() == ValueType::kFloat && !(element.NumericOr(0.0) < 0x1p63)) {
+            return error(std::string(row->key) + " must fit in 64 bits");
+          }
+          OSGUARD_ASSIGN_OR_RETURN(i, element.AsInt());
+          if (i < row->min) {
+            return error(row->message);
+          }
+          if (i > row->max) {
+            return error(std::string(row->key) + " must be <= " +
+                         std::to_string(static_cast<int64_t>(row->max)));
+          }
+        }
+        break;
+      case AttrType::kNumber:
+        d = value.NumericOr(0.0);
+        if (!value.is_numeric() || d < row->min || d > row->max) {
+          return error(row->message);
+        }
+        break;
+      case AttrType::kBool: {
+        OSGUARD_ASSIGN_OR_RETURN(bool b, value.AsBool());
+        i = b;
+        break;
       }
-    } else if (attr.key == "cooldown") {
-      OSGUARD_ASSIGN_OR_RETURN(int64_t ns, attr.value.AsInt());
-      if (ns < 0) {
-        return SemanticError("cooldown must be >= 0" + loc);
+      case AttrType::kString:
+      case AttrType::kEnum: {
+        const std::string* s = value.IfString();
+        if (s == nullptr) {
+          return value.AsString().status();
+        }
+        if (row->type == AttrType::kEnum) {
+          auto name = std::find(row->names.begin(), row->names.end(), *s);
+          if (name == row->names.end()) {
+            return error(row->message);
+          }
+          i = name - row->names.begin();
+        }
+        break;
       }
-      meta.cooldown = ns;
-    } else if (attr.key == "hysteresis") {
-      OSGUARD_ASSIGN_OR_RETURN(int64_t n, attr.value.AsInt());
-      if (n < 1) {
-        return SemanticError("hysteresis must be >= 1" + loc);
-      }
-      meta.hysteresis = static_cast<int>(n);
-    } else if (attr.key == "enabled") {
-      OSGUARD_ASSIGN_OR_RETURN(meta.enabled, attr.value.AsBool());
-    } else if (attr.key == "description") {
-      OSGUARD_ASSIGN_OR_RETURN(meta.description, attr.value.AsString());
-    } else if (attr.key == "tier") {
-      OSGUARD_ASSIGN_OR_RETURN(std::string s, attr.value.AsString());
-      if (s == "auto") {
-        meta.tier = TierHint::kAuto;
-      } else if (s == "interpreter") {
-        meta.tier = TierHint::kInterpreter;
-      } else if (s == "native") {
-        meta.tier = TierHint::kNative;
-      } else {
-        return SemanticError("tier must be auto|interpreter|native" + loc);
-      }
-    } else if (attr.key == "criticality") {
-      OSGUARD_ASSIGN_OR_RETURN(std::string s, attr.value.AsString());
-      if (s == "critical") {
-        meta.criticality = Criticality::kCritical;
-      } else if (s == "standard") {
-        meta.criticality = Criticality::kStandard;
-      } else if (s == "besteffort") {
-        meta.criticality = Criticality::kBestEffort;
-      } else {
-        return SemanticError("criticality must be critical|standard|besteffort" + loc);
-      }
-    } else {
-      return SemanticError("unknown meta attribute '" + attr.key + "'" + loc);
+    }
+    row->set(out, value, i, d);
+  }
+  return seen;
+}
+
+// Whether the rows `seen` (as returned by AssignAttrs) include `key`.
+bool Declared(const BlockSchema& block, uint64_t seen, std::string_view key) {
+  return (seen >> (FindAttr(block, key) - block.attrs.data()) & 1) != 0;
+}
+
+// Rejects a child whose label repeats an earlier sibling's.
+Status CheckNewLabel(const BlockSchema& child, const std::vector<BlockDecl>& siblings,
+                     const BlockDecl& node) {
+  for (const BlockDecl* prev = siblings.data(); prev != &node; ++prev) {
+    if (prev->label == node.label) {
+      return SemanticError("duplicate " + std::string(child.name) + " '" + node.label +
+                           "' (line " + std::to_string(node.line) + ")");
     }
   }
+  return OkStatus();
+}
+
+Result<GuardrailMeta> AnalyzeMeta(const GuardrailDecl& decl) {
+  GuardrailMeta meta;
+  OSGUARD_RETURN_IF_ERROR(
+      AssignAttrs(kMetaSchema, decl.meta, "guardrail", &decl.name, &meta).status());
+  meta.health.supervised = decl.has_health;
+  OSGUARD_RETURN_IF_ERROR(
+      AssignAttrs(kHealthSchema, decl.health, "guardrail", &decl.name, &meta.health).status());
   return meta;
 }
 
-Result<GuardrailHealth> AnalyzeHealth(const GuardrailDecl& decl) {
-  GuardrailHealth health;
-  if (!decl.has_health) {
-    return health;  // unsupervised
+// The first of its mode's requirements a chaos site misses, or null.
+const char* ChaosModeError(AnalyzedChaosSite& site, bool has_mode) {
+  if (!has_mode) {
+    return "chaos site must declare a mode";
   }
-  health.supervised = true;
-  for (const MetaAttr& attr : decl.health) {
-    const std::string loc = " (guardrail '" + decl.name + "', line " + std::to_string(attr.line) + ")";
-    if (attr.key == "budget_steps") {
-      OSGUARD_ASSIGN_OR_RETURN(health.budget_steps, attr.value.AsInt());
-      if (health.budget_steps < 0) {
-        return SemanticError("budget_steps must be >= 0" + loc);
-      }
-    } else if (attr.key == "budget_ns") {
-      OSGUARD_ASSIGN_OR_RETURN(health.budget_ns, attr.value.AsInt());
-      if (health.budget_ns < 0) {
-        return SemanticError("budget_ns must be >= 0" + loc);
-      }
-    } else if (attr.key == "flap_window") {
-      OSGUARD_ASSIGN_OR_RETURN(health.flap_window, attr.value.AsInt());
-      if (health.flap_window <= 0) {
-        return SemanticError("flap_window must be > 0" + loc);
-      }
-    } else if (attr.key == "flap_threshold") {
-      OSGUARD_ASSIGN_OR_RETURN(int64_t n, attr.value.AsInt());
-      if (n < 1) {
-        return SemanticError("flap_threshold must be >= 1" + loc);
-      }
-      health.flap_threshold = static_cast<int>(n);
-    } else if (attr.key == "quarantine") {
-      OSGUARD_ASSIGN_OR_RETURN(int64_t n, attr.value.AsInt());
-      if (n < 1) {
-        return SemanticError("quarantine must be >= 1" + loc);
-      }
-      health.quarantine = static_cast<int>(n);
-    } else if (attr.key == "probe_every") {
-      OSGUARD_ASSIGN_OR_RETURN(int64_t n, attr.value.AsInt());
-      if (n < 1) {
-        return SemanticError("probe_every must be >= 1" + loc);
-      }
-      health.probe_every = static_cast<int>(n);
-    } else if (attr.key == "reinstate") {
-      OSGUARD_ASSIGN_OR_RETURN(int64_t n, attr.value.AsInt());
-      if (n < 1) {
-        return SemanticError("reinstate must be >= 1" + loc);
-      }
-      health.reinstate = static_cast<int>(n);
-    } else if (attr.key == "probation") {
-      OSGUARD_ASSIGN_OR_RETURN(health.probation, attr.value.AsInt());
-      if (health.probation < 0) {
-        return SemanticError("probation must be >= 0" + loc);
-      }
-    } else if (attr.key == "ewma_alpha") {
-      const double a = attr.value.NumericOr(-1.0);
-      if (!attr.value.is_numeric() || a <= 0.0 || a > 1.0) {
-        return SemanticError("ewma_alpha must be a number in (0, 1]" + loc);
-      }
-      health.ewma_alpha = a;
-    } else {
-      return SemanticError("unknown health attribute '" + attr.key + "'" + loc);
-    }
-  }
-  return health;
-}
-
-Result<AnalyzedChaosSite> AnalyzeChaosSite(const ChaosSiteDecl& site) {
-  AnalyzedChaosSite out;
-  out.name = site.name;
-  bool saw_mode = false;
-  for (const MetaAttr& attr : site.attrs) {
-    const std::string loc =
-        " (chaos site '" + site.name + "', line " + std::to_string(attr.line) + ")";
-    if (attr.key == "mode") {
-      OSGUARD_ASSIGN_OR_RETURN(std::string s, attr.value.AsString());
-      if (s == "off") {
-        out.mode = ChaosMode::kOff;
-      } else if (s == "bernoulli") {
-        out.mode = ChaosMode::kBernoulli;
-      } else if (s == "schedule") {
-        out.mode = ChaosMode::kSchedule;
-      } else if (s == "burst") {
-        out.mode = ChaosMode::kBurst;
-      } else {
-        return SemanticError("mode must be off|bernoulli|schedule|burst" + loc);
-      }
-      saw_mode = true;
-    } else if (attr.key == "p") {
-      const double p = attr.value.NumericOr(-1.0);
-      if (!attr.value.is_numeric() || p < 0.0 || p > 1.0) {
-        return SemanticError("p must be a number in [0, 1]" + loc);
-      }
-      out.p = p;
-    } else if (attr.key == "nth") {
-      const std::vector<Value>* list = attr.value.IfList();
-      if (list == nullptr) {
-        // A single index without braces is accepted as a one-element schedule.
-        OSGUARD_ASSIGN_OR_RETURN(int64_t n, attr.value.AsInt());
-        if (n < 0) {
-          return SemanticError("nth indices must be >= 0" + loc);
-        }
-        out.nth.assign(1, static_cast<uint64_t>(n));
-        continue;
-      }
-      for (const Value& element : *list) {
-        OSGUARD_ASSIGN_OR_RETURN(int64_t n, element.AsInt());
-        if (n < 0) {
-          return SemanticError("nth indices must be >= 0" + loc);
-        }
-        out.nth.push_back(static_cast<uint64_t>(n));
-      }
-      std::sort(out.nth.begin(), out.nth.end());
-      out.nth.erase(std::unique(out.nth.begin(), out.nth.end()), out.nth.end());
-    } else if (attr.key == "period") {
-      OSGUARD_ASSIGN_OR_RETURN(out.period, attr.value.AsInt());
-      if (out.period <= 0) {
-        return SemanticError("period must be > 0" + loc);
-      }
-    } else if (attr.key == "burst") {
-      OSGUARD_ASSIGN_OR_RETURN(out.burst, attr.value.AsInt());
-      if (out.burst <= 0) {
-        return SemanticError("burst must be > 0" + loc);
-      }
-    } else if (attr.key == "latency") {
-      OSGUARD_ASSIGN_OR_RETURN(out.latency, attr.value.AsInt());
-      if (out.latency < 0) {
-        return SemanticError("latency must be >= 0" + loc);
-      }
-    } else if (attr.key == "value") {
-      if (!attr.value.is_numeric()) {
-        return SemanticError("value must be a number" + loc);
-      }
-      out.value = attr.value.NumericOr(0.0);
-    } else {
-      return SemanticError("unknown chaos site attribute '" + attr.key + "'" + loc);
-    }
-  }
-  const std::string where = " (chaos site '" + site.name + "', line " +
-                            std::to_string(site.line) + ")";
-  if (!saw_mode) {
-    return SemanticError("chaos site must declare a mode" + where);
-  }
-  switch (out.mode) {
+  switch (site.mode) {
     case ChaosMode::kOff:
       break;
     case ChaosMode::kBernoulli:
-      if (out.p <= 0.0) {
-        return SemanticError("bernoulli mode needs p > 0" + where);
+      if (site.p <= 0.0) {
+        return "bernoulli mode needs p > 0";
       }
       break;
     case ChaosMode::kSchedule:
-      if (out.nth.empty()) {
-        return SemanticError("schedule mode needs a non-empty nth list" + where);
+      if (site.nth.empty()) {
+        return "schedule mode needs a non-empty nth list";
       }
       break;
     case ChaosMode::kBurst:
-      if (out.period <= 0 || out.burst <= 0) {
-        return SemanticError("burst mode needs period > 0 and burst > 0" + where);
+      if (site.period <= 0 || site.burst <= 0) {
+        return "burst mode needs period > 0 and burst > 0";
       }
-      if (out.burst > out.period) {
-        return SemanticError("burst must not exceed period" + where);
+      if (site.burst > site.period) {
+        return "burst must not exceed period";
       }
-      if (out.p <= 0.0) {
-        out.p = 1.0;  // a storm with unspecified p injects every in-window event
+      if (site.p <= 0.0) {
+        site.p = 1.0;  // a storm with unspecified p injects every in-window event
       }
       break;
   }
-  return out;
+  return nullptr;
 }
 
-Result<AnalyzedChaos> AnalyzeChaos(const ChaosDecl& decl) {
+Result<AnalyzedChaos> AnalyzeChaos(const BlockDecl& decl) {
   AnalyzedChaos out;
-  for (const MetaAttr& attr : decl.attrs) {
-    const std::string loc = " (chaos block, line " + std::to_string(attr.line) + ")";
-    if (attr.key == "seed") {
-      OSGUARD_ASSIGN_OR_RETURN(int64_t seed, attr.value.AsInt());
-      if (seed < 0) {
-        return SemanticError("seed must be >= 0" + loc);
-      }
-      out.seed = static_cast<uint64_t>(seed);
-      out.has_seed = true;
-    } else {
-      return SemanticError("unknown chaos attribute '" + attr.key + "'" + loc);
-    }
-  }
-  std::unordered_set<std::string> names;
-  for (const ChaosSiteDecl& site : decl.sites) {
-    if (!names.insert(site.name).second) {
-      return SemanticError("duplicate chaos site '" + site.name + "' (line " +
-                           std::to_string(site.line) + ")");
-    }
-    OSGUARD_ASSIGN_OR_RETURN(AnalyzedChaosSite analyzed, AnalyzeChaosSite(site));
-    out.sites.push_back(std::move(analyzed));
-  }
-  return out;
-}
-
-Result<AnalyzedPersist> AnalyzePersist(const PersistDecl& decl) {
-  AnalyzedPersist out;
-  for (const MetaAttr& attr : decl.attrs) {
-    const std::string loc = " (persist block, line " + std::to_string(attr.line) + ")";
-    if (attr.key == "interval") {
-      OSGUARD_ASSIGN_OR_RETURN(int64_t interval, attr.value.AsInt());
-      if (interval <= 0) {
-        return SemanticError("interval must be a positive duration" + loc);
-      }
-      out.snapshot_interval = interval;
-    } else if (attr.key == "journal_budget") {
-      OSGUARD_ASSIGN_OR_RETURN(int64_t budget, attr.value.AsInt());
-      if (budget < 0) {
-        return SemanticError("journal_budget must be >= 0 bytes (0 = unbounded)" + loc);
-      }
-      out.journal_budget = static_cast<uint64_t>(budget);
-    } else {
-      return SemanticError("unknown persist attribute '" + attr.key +
-                           "' (expected interval or journal_budget)" + loc);
+  OSGUARD_ASSIGN_OR_RETURN(uint64_t seen,
+                           AssignAttrs(kChaosSchema, decl.attrs, kChaosSchema.name, nullptr, &out));
+  out.has_seed = Declared(kChaosSchema, seen, "seed");
+  for (const BlockDecl& site : decl.children) {
+    OSGUARD_RETURN_IF_ERROR(CheckNewLabel(kChaosSiteSchema, decl.children, site));
+    AnalyzedChaosSite& out_site = out.sites.emplace_back();
+    out_site.name = site.label;
+    OSGUARD_ASSIGN_OR_RETURN(
+        uint64_t site_seen,
+        AssignAttrs(kChaosSiteSchema, site.attrs, kChaosSiteSchema.name, &site.label, &out_site));
+    const bool has_mode = Declared(kChaosSiteSchema, site_seen, "mode");
+    if (const char* error = ChaosModeError(out_site, has_mode)) {
+      return SemanticError(error + At(kChaosSiteSchema.name, &site.label, site.line));
     }
   }
   return out;
 }
 
-Result<AnalyzedRetention> AnalyzeRetention(const RetentionDecl& decl) {
+Result<AnalyzedRetention> AnalyzeRetention(const BlockDecl& decl) {
   AnalyzedRetention out;
-  for (const MetaAttr& attr : decl.attrs) {
-    const std::string loc = " (retention block, line " + std::to_string(attr.line) + ")";
-    if (attr.key == "scan_chunk") {
-      OSGUARD_ASSIGN_OR_RETURN(int64_t chunk, attr.value.AsInt());
-      if (chunk <= 0) {
-        return SemanticError("scan_chunk must be > 0 slots" + loc);
-      }
-      out.scan_chunk = static_cast<uint64_t>(chunk);
-    } else {
-      return SemanticError("unknown retention attribute '" + attr.key +
-                           "' (expected scan_chunk)" + loc);
+  OSGUARD_RETURN_IF_ERROR(
+      AssignAttrs(kRetentionSchema, decl.attrs, kRetentionSchema.name, nullptr, &out).status());
+  for (const BlockDecl& ns : decl.children) {
+    auto error = [&ns](const std::string& message) {
+      return SemanticError(message + " (line " + std::to_string(ns.line) + ")");
+    };
+    if (ns.label.empty()) {
+      return error("retention namespace prefix must not be empty");
     }
-  }
-  std::unordered_set<std::string> prefixes;
-  for (const RetentionNamespaceDecl& ns : decl.namespaces) {
-    if (ns.prefix.empty()) {
-      return SemanticError("retention namespace prefix must not be empty (line " +
-                           std::to_string(ns.line) + ")");
-    }
-    if (!prefixes.insert(ns.prefix).second) {
-      return SemanticError("duplicate retention namespace '" + ns.prefix + "' (line " +
-                           std::to_string(ns.line) + ")");
-    }
-    AnalyzedRetentionNamespace out_ns;
-    out_ns.prefix = ns.prefix;
+    OSGUARD_RETURN_IF_ERROR(CheckNewLabel(kRetentionNamespaceSchema, decl.children, ns));
+    AnalyzedRetentionNamespace& out_ns = out.namespaces.emplace_back();
+    out_ns.prefix = ns.label;
     out_ns.line = ns.line;
-    for (const MetaAttr& attr : ns.attrs) {
-      const std::string loc =
-          " (retention namespace '" + ns.prefix + "', line " + std::to_string(attr.line) + ")";
-      if (attr.key == "max_keys") {
-        OSGUARD_ASSIGN_OR_RETURN(int64_t max_keys, attr.value.AsInt());
-        if (max_keys < 0) {
-          return SemanticError("max_keys must be >= 0 (0 = no key budget)" + loc);
-        }
-        out_ns.max_keys = static_cast<uint64_t>(max_keys);
-      } else if (attr.key == "idle_ttl") {
-        OSGUARD_ASSIGN_OR_RETURN(int64_t ttl, attr.value.AsInt());
-        if (ttl < 0) {
-          return SemanticError("idle_ttl must be a non-negative duration" + loc);
-        }
-        out_ns.idle_ttl = ttl;
-      } else {
-        return SemanticError("unknown retention namespace attribute '" + attr.key +
-                             "' (expected max_keys or idle_ttl)" + loc);
-      }
-    }
+    OSGUARD_RETURN_IF_ERROR(AssignAttrs(kRetentionNamespaceSchema, ns.attrs,
+                                        kRetentionNamespaceSchema.name, &ns.label, &out_ns)
+                                .status());
     if (out_ns.max_keys == 0 && out_ns.idle_ttl <= 0) {
-      return SemanticError("retention namespace '" + ns.prefix +
-                           "' declares neither max_keys nor idle_ttl (line " +
-                           std::to_string(ns.line) + ")");
+      return error("retention namespace '" + ns.label + "' declares neither max_keys nor idle_ttl");
     }
-    out.namespaces.push_back(std::move(out_ns));
   }
   return out;
 }
@@ -750,7 +618,6 @@ Result<AnalyzedSpec> Analyze(SpecFile spec) {
     }
     AnalyzedGuardrail out;
     OSGUARD_ASSIGN_OR_RETURN(out.meta, AnalyzeMeta(decl));
-    OSGUARD_ASSIGN_OR_RETURN(out.meta.health, AnalyzeHealth(decl));
     out.decl = std::move(decl);
     analyzed.guardrails.push_back(std::move(out));
   }
@@ -759,8 +626,9 @@ Result<AnalyzedSpec> Analyze(SpecFile spec) {
     analyzed.chaos = std::move(chaos);
   }
   if (spec.persist.has_value()) {
-    OSGUARD_ASSIGN_OR_RETURN(AnalyzedPersist persist, AnalyzePersist(*spec.persist));
-    analyzed.persist = persist;
+    OSGUARD_RETURN_IF_ERROR(AssignAttrs(kPersistSchema, spec.persist->attrs, kPersistSchema.name,
+                                        nullptr, &analyzed.persist.emplace())
+                                .status());
   }
   if (spec.retention.has_value()) {
     OSGUARD_ASSIGN_OR_RETURN(AnalyzedRetention retention, AnalyzeRetention(*spec.retention));

@@ -9,10 +9,14 @@
 //    (SAVE — as in Listing 2 — INCR, OBSERVE, and REPORT).
 //  * Builtin arity and argument modes are enforced: key positions take bare
 //    identifiers or string literals, DEPRIORITIZE takes brace lists.
-//  * meta attributes are restricted to a known vocabulary (severity,
-//    cooldown, hysteresis, enabled, description) to catch typos early.
-//  * chaos blocks are validated the same way: known site attributes only,
-//    mode in {off, bernoulli, schedule, burst}, p in [0, 1], sane windows.
+//  * Attribute blocks (meta, health, chaos, persist, retention) take only
+//    the keys of their src/dsl/schema.h table, each at most once, with
+//    typed, range-checked values (meta: severity, cooldown, hysteresis,
+//    enabled, description, tier, criticality) to catch typos early.
+//  * Cross-field rules: a chaos site declares a mode and that mode's
+//    parameters (bernoulli p, schedule nth, burst period >= burst); site
+//    names and retention prefixes are unique, and a retention namespace
+//    declares max_keys or idle_ttl.
 
 #ifndef SRC_DSL_SEMA_H_
 #define SRC_DSL_SEMA_H_

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "src/agent/trace.h"
 #include "src/dsl/lexer.h"
 #include "src/dsl/parser.h"
+#include "src/dsl/schema.h"
 #include "src/dsl/sema.h"
 #include "src/persist/persist.h"
 #include "src/wl/sessiongen.h"
@@ -153,6 +155,98 @@ TEST(FuzzTest, RandomChaosBlocksNeverCrashAndDiagnoseStably) {
   }
   // The generator is not vacuous: a decent share of blocks is fully valid.
   EXPECT_GT(parsed_ok, 50);
+}
+
+TEST(FuzzTest, RandomAttributeBlocksNeverCrashAndDiagnoseStably) {
+  // Random specs drawing on all five attribute blocks (meta, health, chaos,
+  // persist, retention): keys come from each block's schema table plus a
+  // junk key, values from a pool spanning every attribute type and the
+  // narrowing edges (4294967296, 1e19), and items are separated by ',', ';' or
+  // nothing. The pipeline must return cleanly with the same verdict and
+  // message twice, and an accepted spec never holds an `int` field below
+  // its schema minimum (a narrowed 2^32 would read as 0).
+  const std::vector<std::string> values = {
+      "bernoulli", "schedule", "burst", "off", "info", "critical", "native", "besteffort",
+      "0", "1", "3", "0.5", "2ms", "5s", "2147483647", "4294967296", "3e9", "1e19",
+      "{1, 2, 3}", "{}", "true", "\"text\"", "teapot"};
+  const std::vector<std::string> separators = {", ", "; ", " "};
+  Rng rng(1212);
+  auto pick = [&rng](const auto& pool) -> const auto& {
+    return pool[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+  };
+  auto body = [&](const BlockSchema& block) {
+    std::string out = "{ ";
+    const int attrs = static_cast<int>(rng.UniformInt(0, 3));
+    for (int a = 0; a < attrs; ++a) {
+      const bool junk = rng.Bernoulli(0.1);
+      out += junk ? std::string("junk_attr") : std::string(pick(block.attrs).key);
+      out += " = " + pick(values) + pick(separators);
+    }
+    return out + "}";
+  };
+  auto run_pipeline = [](const std::string& source) -> std::pair<bool, std::string> {
+    auto spec = ParseSpecSource(source);
+    if (!spec.ok()) {
+      return {false, std::string(spec.status().message())};
+    }
+    auto analyzed = Analyze(std::move(spec).value());
+    if (!analyzed.ok()) {
+      return {false, std::string(analyzed.status().message())};
+    }
+    for (const AnalyzedGuardrail& guardrail : analyzed.value().guardrails) {
+      const GuardrailHealth& health = guardrail.meta.health;
+      EXPECT_GE(guardrail.meta.hysteresis, 1) << source;
+      EXPECT_GE(std::min({health.flap_threshold, health.quarantine, health.probe_every,
+                          health.reinstate}),
+                1)
+          << source;
+    }
+    return {true, ""};
+  };
+  const std::vector<std::string> sites = {"ssd.latency_spike", "s", "s"};
+  const std::vector<std::string> prefixes = {"\"a.\"", "\"agent.s\"", "\"a.\"", "\"\""};
+  int accepted = 0;
+  for (int iteration = 0; iteration < 2000; ++iteration) {
+    std::string source;
+    if (rng.Bernoulli(0.6)) {
+      source += "guardrail g { trigger: { TIMER(1s, 1s) }, rule: { true }, action: { REPORT() }";
+      if (rng.Bernoulli(0.7)) {
+        source += ", meta: " + body(kMetaSchema);
+      }
+      if (rng.Bernoulli(0.5)) {
+        source += ", health: " + body(kHealthSchema);
+      }
+      source += " }\n";
+    }
+    if (rng.Bernoulli(0.4)) {
+      std::string chaos = body(kChaosSchema);
+      for (int s = static_cast<int>(rng.UniformInt(0, 2)); s > 0; --s) {
+        chaos.insert(chaos.size() - 1, "site " + pick(sites) + " " + body(kChaosSiteSchema) +
+                                           pick(separators));
+      }
+      source += "chaos " + chaos + "\n";
+    }
+    if (rng.Bernoulli(0.4)) {
+      source += "persist " + body(kPersistSchema) + "\n";
+    }
+    if (rng.Bernoulli(0.4)) {
+      std::string retention = body(kRetentionSchema);
+      for (int n = static_cast<int>(rng.UniformInt(0, 2)); n > 0; --n) {
+        retention.insert(retention.size() - 1, "namespace " + pick(prefixes) + " " +
+                                                   body(kRetentionNamespaceSchema) +
+                                                   pick(separators));
+      }
+      source += "retention " + retention + "\n";
+    }
+    const auto first = run_pipeline(source);
+    const auto second = run_pipeline(source);
+    EXPECT_EQ(first, second) << source;  // deterministic verdict AND message
+    if (first.first) {
+      ++accepted;
+    }
+  }
+  // The generator is not vacuous: a decent share of specs is fully valid.
+  EXPECT_GT(accepted, 100);
 }
 
 TEST(FuzzTest, CorpusSpecsParseWithStableDiagnostics) {
