@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "src/dsl/parser.h"
+#include "src/runtime/sharded_engine.h"
 #include "src/vm/verifier.h"
 
 #include "src/support/logging.h"
@@ -133,6 +134,7 @@ Engine::Engine(FeatureStore* store, PolicyRegistry* registry, TaskControl* task_
     : store_(store),
       registry_(registry),
       options_(options),
+      exports_(store),
       reporter_(options.reporter_capacity),
       retrain_queue_(options.retrain),
       dispatcher_(&reporter_, registry, &retrain_queue_, task_control),
@@ -141,7 +143,7 @@ Engine::Engine(FeatureStore* store, PolicyRegistry* registry, TaskControl* task_
   dispatcher_.SetStore(store);  // publishes the actions.* failure counters
   dispatcher_.SetMeasureWallTime(options_.measure_wall_time);
   supervisor_.SetStore(store);  // publishes the supervisor.* health keys
-  governor_.Configure(options_.governor, store);  // interns engine.governor.*
+  governor_.Configure(options_.governor, &exports_);  // engine.governor.*
   // Third pressure input: approximate store bytes — a deterministic function
   // of store contents, so governed differential runs stay replayable.
   governor_.SetBytesProbe([store] { return store->approx_bytes(); });
@@ -150,16 +152,14 @@ Engine::Engine(FeatureStore* store, PolicyRegistry* registry, TaskControl* task_
   if (options_.tier.enabled) {
     aot_ = std::make_unique<NativeAot>(NativeAotOptions{
         .compiler = options_.tier.compiler, .cache_dir = options_.tier.cache_dir});
-    gk_tier_promotions_ = store_->InternKey("engine.tier.promotions");
-    gk_tier_demotions_ = store_->InternKey("engine.tier.demotions");
-    gk_tier_native_evals_ = store_->InternKey("engine.tier.native_evals");
-    gk_tier_interp_evals_ = store_->InternKey("engine.tier.interp_evals");
-    store_->Pin(gk_tier_promotions_);
-    store_->Pin(gk_tier_demotions_);
-    store_->Pin(gk_tier_native_evals_);
-    store_->Pin(gk_tier_interp_evals_);
-    tier_dirty_ = true;
-    PublishTierStats();  // keys exist (as zeros) from the start
+    size_t i = 0;
+    for (const char* key : {"engine.tier.promotions", "engine.tier.demotions",
+                            "engine.tier.native_evals", "engine.tier.interp_evals"}) {
+      tier_exports_[i++] = exports_.Add(key);
+    }
+    for (const ExportTable::Handle handle : tier_exports_) {
+      exports_.Set(handle, 0);  // keys exist (as zeros) from the start
+    }
   }
 }
 
@@ -259,7 +259,11 @@ Status Engine::Load(CompiledGuardrail guardrail) {
     monitor->stats.last_action_time = old.last_action_time;
     // uptime_evals counts the monitored *name*, not the program version.
     monitor->stats.uptime_evals = old.uptime_evals;
-    monitor->uptime_published = existing->second->uptime_published;
+    monitor->uptime = existing->second->uptime;
+  } else {
+    // Written only once the count leaves zero.
+    monitor->uptime =
+        exports_.Add("monitor." + name + ".uptime_evals", /*already_published=*/true);
   }
   const GuardrailHealth& health = monitor->guardrail.meta.health;
   if (replacing && health.supervised && health.probation > 0) {
@@ -280,8 +284,6 @@ Status Engine::Load(CompiledGuardrail guardrail) {
                               : options_.tier.promote_after;
     store_->Save(monitor->tier_key, Value(static_cast<int64_t>(0)));
   }
-  monitor->uptime_key = store_->InternKey("monitor." + name + ".uptime_evals");
-  store_->Pin(monitor->uptime_key);
   monitors_[name] = std::move(monitor);  // replace-by-name is the update path
   ArmTimers(*monitors_[name]);
   RebuildFunctionIndex();
@@ -314,7 +316,7 @@ Status Engine::LoadSource(const std::string& source) {
       ropts.namespaces.push_back(
           RetentionNamespaceOptions{ns.prefix, ns.max_keys, ns.idle_ttl});
     }
-    retention_.Configure(WithBuiltinNamespaces(std::move(ropts)), store_);
+    retention_.Configure(WithBuiltinNamespaces(std::move(ropts)), store_, &exports_);
     retention_.AttachChaos(chaos_);
   }
   OSGUARD_ASSIGN_OR_RETURN(std::vector<CompiledGuardrail> compiled, CompileSpec(analyzed));
@@ -349,10 +351,7 @@ Status Engine::Unload(const std::string& name) {
   // "monitor." namespace TTL instead of leaking. (Adoption is explicit —
   // the write observer only tracks slots as they are written, and nothing
   // writes an unloaded monitor's counters again.)
-  if (it->second->uptime_key != kInvalidKeyId) {
-    store_->Unpin(it->second->uptime_key);
-    retention_.AdoptKey(it->second->uptime_key, now_);
-  }
+  retention_.AdoptKey(exports_.Remove(it->second->uptime), now_);
   if (it->second->tier_key != kInvalidKeyId) {
     store_->Unpin(it->second->tier_key);
     retention_.AdoptKey(it->second->tier_key, now_);
@@ -440,11 +439,7 @@ void Engine::AdvanceTo(SimTime t) {
     ApplyPendingRollbacks();
   }
   now_ = std::max(now_, t);
-  PublishUptimeStats();
-  PublishTierStats();
-  RunRetention();
-  FinishCalloutGovernor();
-  CommitPersist();
+  FinishCallout();
 }
 
 void Engine::OnFunctionCall(std::string_view function, SimTime t) {
@@ -476,12 +471,7 @@ void Engine::OnFunctionCall(std::string_view function, SimTime t) {
       Evaluate(*monitor, now_);
     }
   }
-  ApplyPendingRollbacks();  // after the loop: `it` is dead past this point
-  PublishUptimeStats();
-  PublishTierStats();
-  RunRetention();
-  FinishCalloutGovernor();
-  CommitPersist();
+  FinishCallout();  // after the loop: `it` is dead past this point
 }
 
 void Engine::OnStoreWrite(KeyId id) {
@@ -613,8 +603,7 @@ void Engine::ApplyPendingRollbacks() {
                                   "probation deploy rolled back by supervisor",
                                   {}});
     restored->stats.uptime_evals = doomed.stats.uptime_evals;
-    restored->uptime_published = doomed.uptime_published;
-    restored->uptime_key = doomed.uptime_key;
+    restored->uptime = doomed.uptime;
     it->second = std::move(restored);
     ArmTimers(*it->second);
     RebuildFunctionIndex();
@@ -677,7 +666,6 @@ void Engine::MaybePromote(Monitor& monitor) {
   }
   monitor.promoted = true;
   ++tier_stats_.promotions;
-  tier_dirty_ = true;
   if (monitor.tier_key != kInvalidKeyId) {
     store_->Save(monitor.tier_key, Value(static_cast<int64_t>(1)));
   }
@@ -695,7 +683,6 @@ void Engine::Demote(Monitor& monitor) {
   // here, not inherit the heat that preceded the demotion.
   monitor.promote_at = monitor.stats.evaluations + options_.tier.promote_after;
   ++tier_stats_.demotions;
-  tier_dirty_ = true;
   if (monitor.tier_key != kInvalidKeyId) {
     store_->Save(monitor.tier_key, Value(static_cast<int64_t>(0)));
   }
@@ -723,31 +710,14 @@ Result<Value> Engine::ExecProgram(Monitor& monitor, const Program& program,
     }
     if (fn != nullptr) {
       ++tier_stats_.native_evals;
-      tier_dirty_ = true;
       return native_exec_.Run(fn, program, consts->data(), budget,
                               &vm_.mutable_stats());
     }
   }
   if (options_.tier.enabled) {
     ++tier_stats_.interp_evals;
-    tier_dirty_ = true;
   }
   return vm_.Execute(program, env_, budget);
-}
-
-void Engine::PublishTierStats() {
-  // Deferred out of evaluation: a Save here while a monitor runs would feed
-  // the ONCHANGE queue mid-eval. AdvanceTo / OnFunctionCall flush instead.
-  if (evaluating_ || !tier_dirty_ || gk_tier_promotions_ == kInvalidKeyId) {
-    return;
-  }
-  tier_dirty_ = false;
-  store_->Save(gk_tier_promotions_, Value(static_cast<int64_t>(tier_stats_.promotions)));
-  store_->Save(gk_tier_demotions_, Value(static_cast<int64_t>(tier_stats_.demotions)));
-  store_->Save(gk_tier_native_evals_,
-               Value(static_cast<int64_t>(tier_stats_.native_evals)));
-  store_->Save(gk_tier_interp_evals_,
-               Value(static_cast<int64_t>(tier_stats_.interp_evals)));
 }
 
 void Engine::RunActions(Monitor& monitor, const Program& program, SimTime t) {
@@ -890,7 +860,6 @@ Engine::RuleEvalPrep Engine::BeginRuleEval(Monitor& monitor, SimTime t) {
   MonitorStats& stats = monitor.stats;
   ++stats.evaluations;
   ++stats.uptime_evals;
-  uptime_dirty_ = true;
   ++stats_.evaluations;
   if (options_.tier.enabled) {
     MaybePromote(monitor);
@@ -1012,7 +981,9 @@ namespace {
 
 // v2 appended the overload-governor ladder state (global + per-monitor): a
 // panic landing mid-degradation must warm-restart into the same ladder state.
-constexpr uint32_t kImageVersion = 3;  // v3: governor bytes_ewma + retention image
+// v3: governor bytes_ewma + retention image. v4: the governor and retention
+// "last published" export copies are gone (the store holds them).
+constexpr uint32_t kImageVersion = 4;
 
 void WriteReportRecord(ByteWriter& w, const ReportRecord& record) {
   w.U64(record.sequence);
@@ -1096,11 +1067,6 @@ void WriteGovernorImage(ByteWriter& w, const GovernorImage& g) {
   w.U64(g.stats.static_applies);
   w.U64(g.stats.static_suppressed);
   w.U64(g.stats.critical_sheds);
-  w.U8(g.keys_published ? 1 : 0);
-  w.I64(g.pub_mode);
-  w.U64(g.pub_transitions);
-  w.U64(g.pub_sheds);
-  w.U64(g.pub_static);
 }
 
 Status ReadGovernorImage(ByteReader& r, GovernorImage* g) {
@@ -1130,12 +1096,6 @@ Status ReadGovernorImage(ByteReader& r, GovernorImage* g) {
   OSGUARD_ASSIGN_OR_RETURN(g->stats.static_applies, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(g->stats.static_suppressed, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(g->stats.critical_sheds, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t keys_published, r.U8());
-  g->keys_published = keys_published != 0;
-  OSGUARD_ASSIGN_OR_RETURN(g->pub_mode, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(g->pub_transitions, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->pub_sheds, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->pub_static, r.U64());
   return OkStatus();
 }
 
@@ -1147,17 +1107,6 @@ void WriteRetentionImage(ByteWriter& w, const RetentionImage& ret) {
   w.U64(ret.stats.chaos_storms);
   w.U64(ret.stats.chaos_breaches);
   w.U64(ret.stats.stale_tracks_fixed);
-  w.U8(ret.keys_published ? 1 : 0);
-  w.U64(ret.pub_reclaimed);
-  w.U64(ret.pub_evictions);
-  w.U64(ret.pub_breaches);
-  w.U64(ret.pub_bytes_total);
-  w.U64(ret.pub_live_keys);
-  w.U32(static_cast<uint32_t>(ret.pub_ns_keys.size()));
-  for (size_t i = 0; i < ret.pub_ns_keys.size(); ++i) {
-    w.U64(ret.pub_ns_keys[i]);
-    w.U64(ret.pub_ns_bytes[i]);
-  }
 }
 
 Status ReadRetentionImage(ByteReader& r, RetentionImage* ret) {
@@ -1168,20 +1117,6 @@ Status ReadRetentionImage(ByteReader& r, RetentionImage* ret) {
   OSGUARD_ASSIGN_OR_RETURN(ret->stats.chaos_storms, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(ret->stats.chaos_breaches, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(ret->stats.stale_tracks_fixed, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t published, r.U8());
-  ret->keys_published = published != 0;
-  OSGUARD_ASSIGN_OR_RETURN(ret->pub_reclaimed, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->pub_evictions, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->pub_breaches, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->pub_bytes_total, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->pub_live_keys, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t ns_count, r.U32());
-  ret->pub_ns_keys.resize(ns_count);
-  ret->pub_ns_bytes.resize(ns_count);
-  for (uint32_t i = 0; i < ns_count; ++i) {
-    OSGUARD_ASSIGN_OR_RETURN(ret->pub_ns_keys[i], r.U64());
-    OSGUARD_ASSIGN_OR_RETURN(ret->pub_ns_bytes[i], r.U64());
-  }
   return OkStatus();
 }
 
@@ -1303,39 +1238,40 @@ void Engine::SetPersist(PersistManager* persist) {
   }
 }
 
-void Engine::FinishCalloutGovernor() {
-  if (!governor_.enabled() || evaluating_) {
-    return;
+void Engine::FinishCallout() {
+  if (evaluating_) {
+    return;  // a store write here would feed the ONCHANGE queue mid-eval
   }
-  governor_.OnCalloutEnd(now_, stats_.evaluations, stats_.total_wall_ns);
-  governor_.Publish();
-}
-
-void Engine::RunRetention() {
-  if (!retention_.enabled() || evaluating_) {
-    return;
-  }
-  retention_.RunAtBoundary(now_);
-}
-
-void Engine::PublishUptimeStats() {
-  if (evaluating_ || !uptime_dirty_) {
-    return;
-  }
-  uptime_dirty_ = false;
-  for (auto& [name, monitor] : monitors_) {
-    if (monitor->uptime_key == kInvalidKeyId ||
-        monitor->stats.uptime_evals == monitor->uptime_published) {
-      continue;
+  ApplyPendingRollbacks();
+  if (stats_.evaluations != uptime_exported_at_) {
+    // uptime_evals only moves with stats_.evaluations, so a boundary with no
+    // evaluation since the last export skips the walk over every monitor.
+    uptime_exported_at_ = stats_.evaluations;
+    for (const auto& [name, monitor] : monitors_) {
+      exports_.Set(monitor->uptime, static_cast<int64_t>(monitor->stats.uptime_evals));
     }
-    monitor->uptime_published = monitor->stats.uptime_evals;
-    store_->Save(monitor->uptime_key,
-                 Value(static_cast<int64_t>(monitor->stats.uptime_evals)));
   }
+  if (aot_ != nullptr) {
+    const uint64_t tier[] = {tier_stats_.promotions, tier_stats_.demotions,
+                             tier_stats_.native_evals, tier_stats_.interp_evals};
+    for (size_t i = 0; i < tier_exports_.size(); ++i) {
+      exports_.Set(tier_exports_[i], static_cast<int64_t>(tier[i]));
+    }
+  }
+  if (retention_.enabled()) {
+    retention_.RunAtBoundary(now_);
+  }
+  if (governor_.enabled()) {
+    governor_.OnCalloutEnd(now_, stats_.evaluations, stats_.total_wall_ns);
+  }
+  if (sharded_ != nullptr) {
+    sharded_->ExportTelemetry();
+  }
+  CommitPersist();
 }
 
 void Engine::CommitPersist() {
-  if (persist_ == nullptr || evaluating_ || !persist_->dirty()) {
+  if (persist_ == nullptr || !persist_->dirty()) {
     return;
   }
   std::string image = EncodeImage();
@@ -1610,7 +1546,6 @@ Status Engine::ApplyImage(std::string_view image) {
     Monitor& monitor = *it->second;
     monitor.enabled = m.enabled;
     monitor.stats = m.stats;
-    monitor.uptime_published = m.stats.uptime_evals;
     // The native object itself is not persisted (it lives in the AOT
     // content-hash cache). A promoted monitor restores as interpreted with
     // promote_at = 0, so its first evaluation re-promotes through the cache;
@@ -1687,10 +1622,6 @@ Status Engine::ApplyImage(std::string_view image) {
   }
   timers_ = std::move(timers);
   next_tiebreak_ = next_tiebreak;
-  // The store holds the committed tier/uptime exports already (via slot dump
-  // + op replay); the restored counters match them, so nothing is stale.
-  tier_dirty_ = false;
-  uptime_dirty_ = false;
   return OkStatus();
 }
 
@@ -1792,6 +1723,8 @@ Result<RecoveryInfo> Engine::Restore(PersistManager& persist) {
   // of the writes. Rebuild its membership and stamps from the restored store
   // (deterministic: both sides of a differential restore the same slots).
   retention_.ResyncAfterRestore(now_);
+  // The restored store holds every export's last committed value.
+  exports_.ResyncFromStore();
   last_report_mark_ = reporter_.total_reports();
   return state.info;
 }

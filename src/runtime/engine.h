@@ -28,6 +28,7 @@
 #ifndef SRC_RUNTIME_ENGINE_H_
 #define SRC_RUNTIME_ENGINE_H_
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -43,6 +44,7 @@
 #include "src/actions/retrain.h"
 #include "src/actions/task_control.h"
 #include "src/persist/persist.h"
+#include "src/runtime/export_table.h"
 #include "src/runtime/governor/governor.h"
 #include "src/runtime/retention.h"
 #include "src/runtime/helper_env.h"
@@ -55,6 +57,8 @@
 #include "src/vm/vm.h"
 
 namespace osguard {
+
+class ShardedEngine;
 
 // Per-monitor counters. Three lifecycles touch these fields, with different
 // survival rules (pinned by tests/persist_test.cc, MonitorStatsSemantics):
@@ -118,7 +122,7 @@ struct NativeTierOptions {
 };
 
 // Cumulative tier activity, exported as engine.tier.* feature-store keys
-// (mirroring the supervisor.* convention) at callout boundaries.
+// (docs/STORE.md "Exported keys") at callout boundaries.
 struct TierStats {
   uint64_t promotions = 0;
   uint64_t demotions = 0;
@@ -311,12 +315,10 @@ class Engine {
     std::vector<osg_value> nat_rule_consts;
     std::vector<osg_value> nat_action_consts;
     std::vector<osg_value> nat_satisfy_consts;
-    KeyId tier_key = kInvalidKeyId;  // engine.tier.<name> export slot
+    KeyId tier_key = kInvalidKeyId;  // engine.tier.<name> state slot
 
-    // monitor.<name>.uptime_evals export slot and the last value published
-    // to it (publish happens at callout boundaries, only on change).
-    KeyId uptime_key = kInvalidKeyId;
-    uint64_t uptime_published = 0;
+    // monitor.<name>.uptime_evals export, set at callout boundaries.
+    ExportTable::Handle uptime = ExportTable::kNone;
 
     // --- Overload governor state ---
     // Admission attempts (the deterministic sampling stride clock) and the
@@ -383,32 +385,22 @@ class Engine {
                             const ExecBudget* budget);
   void MaybePromote(Monitor& monitor);
   void Demote(Monitor& monitor);
-  // Writes the engine.tier.* counters to the store. No-op mid-evaluation
-  // (callout boundaries only) and when nothing changed.
-  void PublishTierStats();
   void DrainPendingChanges();
   // Rollbacks are queued during evaluation and applied at callout
   // boundaries, where no Monitor pointers or trigger references are live.
   void QueueRollback(Monitor& monitor);
   void ApplyPendingRollbacks();
 
-  // Governor callout boundary: feed the cumulative eval/wall counters into
-  // the overload ladder and publish engine.governor.* (value-diffed). No-op
-  // mid-evaluation and when the governor is disabled.
-  void FinishCalloutGovernor();
-
-  // Retention callout boundary: the ONLY place keys are reclaimed (chaos
-  // sampling, incremental TTL scan, quota eviction, telemetry publish).
-  // Runs before FinishCalloutGovernor so the governor's store-bytes probe
-  // sees the post-reclamation footprint, and before CommitPersist so the
-  // reclaim Erase frames journal with this boundary. No-op mid-evaluation
-  // and without a retention block.
-  void RunRetention();
+  // The one callout-boundary step, run at the end of every AdvanceTo /
+  // OnFunctionCall (serial and sharded). In order: queued rollbacks, the
+  // uptime and tier exports, retention (the ONLY place keys are reclaimed;
+  // before the governor so its store-bytes probe sees the post-reclamation
+  // footprint), the governor ladder and its exports, the shard exports,
+  // then the persist commit, so every export write journals with this
+  // boundary. No-op mid-evaluation.
+  void FinishCallout();
 
   // --- Crash consistency (osguard::persist) ---
-  // Publishes monitor.<name>.uptime_evals for monitors whose count moved.
-  // Callout boundaries only, like PublishTierStats.
-  void PublishUptimeStats();
   // End-of-callout hook: commits a journal frame if anything changed since
   // the last commit, then rotates a snapshot in when one is due. Errors are
   // logged and swallowed — persistence failures degrade durability (the
@@ -426,6 +418,8 @@ class Engine {
   FeatureStore* store_;
   PolicyRegistry* registry_;
   EngineOptions options_;
+  // Before the governor and retention manager, which register into it.
+  ExportTable exports_;
   Reporter reporter_;
   RetrainQueue retrain_queue_;
   ActionDispatcher dispatcher_;
@@ -469,18 +463,20 @@ class Engine {
   std::unique_ptr<NativeAot> aot_;  // null unless options_.tier.enabled
   NativeExec native_exec_;
   TierStats tier_stats_;
-  bool tier_dirty_ = false;  // counters changed since the last publish
-  KeyId gk_tier_promotions_ = kInvalidKeyId;
-  KeyId gk_tier_demotions_ = kInvalidKeyId;
-  KeyId gk_tier_native_evals_ = kInvalidKeyId;
-  KeyId gk_tier_interp_evals_ = kInvalidKeyId;
+  // stats_.evaluations when the uptime exports were last set.
+  uint64_t uptime_exported_at_ = 0;
+  // engine.tier.{promotions,demotions,native_evals,interp_evals} exports.
+  std::array<ExportTable::Handle, 4> tier_exports_{};
+
+  // The sharded layer wrapping this engine while its telemetry is on; its
+  // engine.shard.* exports are set in FinishCallout.
+  ShardedEngine* sharded_ = nullptr;
 
   // --- Crash consistency (osguard::persist) ---
   PersistManager* persist_ = nullptr;  // borrowed; null = persistence off
   // Reporter sequence at the last committed frame; the next frame's delta
   // starts here.
   uint64_t last_report_mark_ = 0;
-  bool uptime_dirty_ = false;  // some monitor evaluated since last publish
 };
 
 }  // namespace osguard

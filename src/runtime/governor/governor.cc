@@ -20,23 +20,20 @@ std::string_view GovernorModeName(GovernorMode mode) {
   return "?";
 }
 
-void OverloadGovernor::Configure(const GovernorOptions& options, FeatureStore* store) {
+void OverloadGovernor::Configure(const GovernorOptions& options, ExportTable* exports) {
   options_ = options;
   options_.sample_every = std::max<uint64_t>(options_.sample_every, 1);
   options_.dwell_up = std::max(options_.dwell_up, 1);
   options_.dwell_down = std::max(options_.dwell_down, 1);
   options_.alpha = std::clamp(options_.alpha, 1e-6, 1.0);
-  store_ = store;
-  if (options_.enabled && store_ != nullptr) {
-    k_mode_ = store_->InternKey("engine.governor.mode");
-    k_transitions_ = store_->InternKey("engine.governor.transitions");
-    k_sheds_ = store_->InternKey("engine.governor.sheds");
-    k_static_ = store_->InternKey("engine.governor.static_applies");
-    // Cached ids must survive retention (docs/STORE.md pin contract).
-    store_->Pin(k_mode_);
-    store_->Pin(k_transitions_);
-    store_->Pin(k_sheds_);
-    store_->Pin(k_static_);
+  if (options_.enabled && exports != nullptr) {
+    // The mode is written at the first boundary; the counters only once
+    // they leave zero.
+    exports_ = exports;
+    x_mode_ = exports->Add("engine.governor.mode");
+    x_transitions_ = exports->Add("engine.governor.transitions", /*already_published=*/true);
+    x_sheds_ = exports->Add("engine.governor.sheds", /*already_published=*/true);
+    x_static_ = exports->Add("engine.governor.static_applies", /*already_published=*/true);
   }
 }
 
@@ -150,31 +147,12 @@ void OverloadGovernor::OnCalloutEnd(SimTime now, uint64_t evals_cum, int64_t wal
     OSGUARD_LOG(kDebug) << "governor de-escalated to " << GovernorModeName(mode_)
                         << " (pressure " << pressure_ << ")";
   }
-}
-
-void OverloadGovernor::Publish() {
-  if (!options_.enabled || store_ == nullptr || k_mode_ == kInvalidKeyId) {
-    return;
-  }
-  const int64_t mode = static_cast<int64_t>(mode_);
-  if (!keys_published_ || mode != pub_mode_) {
-    keys_published_ = true;
-    pub_mode_ = mode;
-    store_->Save(k_mode_, Value(mode));
-  }
-  if (stats_.transitions != pub_transitions_) {
-    pub_transitions_ = stats_.transitions;
-    store_->Save(k_transitions_, Value(static_cast<int64_t>(stats_.transitions)));
-  }
-  const uint64_t sheds = stats_.sheds_besteffort + stats_.sheds_standard +
-                         stats_.static_suppressed;
-  if (sheds != pub_sheds_) {
-    pub_sheds_ = sheds;
-    store_->Save(k_sheds_, Value(static_cast<int64_t>(sheds)));
-  }
-  if (stats_.static_applies != pub_static_) {
-    pub_static_ = stats_.static_applies;
-    store_->Save(k_static_, Value(static_cast<int64_t>(stats_.static_applies)));
+  if (exports_ != nullptr) {
+    exports_->Set(x_mode_, static_cast<int64_t>(mode_));
+    exports_->Set(x_transitions_, stats_.transitions);
+    exports_->Set(x_sheds_, stats_.sheds_besteffort + stats_.sheds_standard +
+                                stats_.static_suppressed);
+    exports_->Set(x_static_, stats_.static_applies);
   }
 }
 
@@ -193,11 +171,6 @@ GovernorImage OverloadGovernor::ExportState() const {
   image.streak_down = streak_down_;
   image.fail_static_epoch = fail_static_epoch_;
   image.stats = stats_;
-  image.keys_published = keys_published_;
-  image.pub_mode = pub_mode_;
-  image.pub_transitions = pub_transitions_;
-  image.pub_sheds = pub_sheds_;
-  image.pub_static = pub_static_;
   return image;
 }
 
@@ -216,11 +189,6 @@ void OverloadGovernor::RestoreState(const GovernorImage& image) {
   streak_down_ = image.streak_down;
   fail_static_epoch_ = image.fail_static_epoch;
   stats_ = image.stats;
-  keys_published_ = image.keys_published;
-  pub_mode_ = image.pub_mode;
-  pub_transitions_ = image.pub_transitions;
-  pub_sheds_ = image.pub_sheds;
-  pub_static_ = image.pub_static;
 }
 
 }  // namespace osguard

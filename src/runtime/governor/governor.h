@@ -41,7 +41,7 @@
 #include <string_view>
 
 #include "src/dsl/sema.h"
-#include "src/store/feature_store.h"
+#include "src/runtime/export_table.h"
 #include "src/support/time.h"
 
 namespace osguard {
@@ -134,20 +134,13 @@ struct GovernorImage {
   int64_t streak_down = 0;
   uint64_t fail_static_epoch = 0;
   GovernorStats stats;
-  // Value-diffed publish trackers: they must survive a warm restart or the
-  // first post-restart publish would diverge from an uninterrupted run.
-  bool keys_published = false;
-  int64_t pub_mode = 0;
-  uint64_t pub_transitions = 0;
-  uint64_t pub_sheds = 0;
-  uint64_t pub_static = 0;
 };
 
 class OverloadGovernor {
  public:
-  // Interns the engine.governor.* export keys when enabled. `store` may be
-  // null (bare unit tests); publishing is then a no-op.
-  void Configure(const GovernorOptions& options, FeatureStore* store);
+  // Registers the engine.governor.* exports when enabled. `exports` may be
+  // null (bare unit tests); nothing is exported then.
+  void Configure(const GovernorOptions& options, ExportTable* exports);
 
   bool enabled() const { return options_.enabled; }
   GovernorMode mode() const { return mode_; }
@@ -180,17 +173,15 @@ class OverloadGovernor {
   void CountStaticApply() { ++stats_.static_applies; }
 
   // Callout boundary: feed the cumulative engine counters (the governor
-  // diffs them internally), update the EWMAs, and move the ladder.
+  // diffs them internally), update the EWMAs, move the ladder, and set the
+  // engine.governor.* exports.
   void OnCalloutEnd(SimTime now, uint64_t evals_cum, int64_t wall_cum_ns);
-  // Value-diffed engine.governor.* store export; callout boundaries only.
-  void Publish();
 
   GovernorImage ExportState() const;
   void RestoreState(const GovernorImage& image);
 
  private:
   GovernorOptions options_;
-  FeatureStore* store_ = nullptr;
   std::function<size_t()> probe_;
   std::function<uint64_t()> bytes_probe_;
 
@@ -209,15 +200,11 @@ class OverloadGovernor {
   uint64_t fail_static_epoch_ = 0;
   GovernorStats stats_;
 
-  KeyId k_mode_ = kInvalidKeyId;
-  KeyId k_transitions_ = kInvalidKeyId;
-  KeyId k_sheds_ = kInvalidKeyId;
-  KeyId k_static_ = kInvalidKeyId;
-  bool keys_published_ = false;
-  int64_t pub_mode_ = 0;
-  uint64_t pub_transitions_ = 0;
-  uint64_t pub_sheds_ = 0;
-  uint64_t pub_static_ = 0;
+  ExportTable* exports_ = nullptr;
+  ExportTable::Handle x_mode_ = ExportTable::kNone;
+  ExportTable::Handle x_transitions_ = ExportTable::kNone;
+  ExportTable::Handle x_sheds_ = ExportTable::kNone;
+  ExportTable::Handle x_static_ = ExportTable::kNone;
 };
 
 }  // namespace osguard

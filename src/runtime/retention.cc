@@ -44,7 +44,8 @@ RetentionOptions WithBuiltinNamespaces(RetentionOptions options) {
   return options;
 }
 
-void RetentionManager::Configure(const RetentionOptions& options, FeatureStore* store) {
+void RetentionManager::Configure(const RetentionOptions& options, FeatureStore* store,
+                                 ExportTable* exports) {
   options_ = options;
   options_.scan_chunk = std::max<uint64_t>(options_.scan_chunk, 1);
   store_ = store;
@@ -54,29 +55,21 @@ void RetentionManager::Configure(const RetentionOptions& options, FeatureStore* 
   ns_keys_.assign(n, 0);
   ns_bytes_.assign(n, 0);
   cursor_ = 0;
-  k_ns_keys_.assign(n, kInvalidKeyId);
-  k_ns_bytes_.assign(n, kInvalidKeyId);
-  pub_ns_keys_.assign(n, 0);
-  pub_ns_bytes_.assign(n, 0);
-  keys_published_ = false;
-  pub_reclaimed_ = pub_evictions_ = pub_breaches_ = 0;
-  pub_bytes_total_ = pub_live_keys_ = 0;
-  if (options_.enabled && store_ != nullptr) {
-    k_reclaimed_ = store_->InternKey("store.retention.reclaimed");
-    k_evictions_ = store_->InternKey("store.retention.evictions");
-    k_breaches_ = store_->InternKey("store.retention.breaches");
-    k_bytes_total_ = store_->InternKey("engine.store.bytes.total");
-    k_live_keys_ = store_->InternKey("engine.store.keys.live");
-    store_->Pin(k_reclaimed_);
-    store_->Pin(k_evictions_);
-    store_->Pin(k_breaches_);
-    store_->Pin(k_bytes_total_);
-    store_->Pin(k_live_keys_);
-    for (size_t i = 0; i < n; ++i) {
-      k_ns_keys_[i] = store_->InternKey("engine.store.keys." + options_.namespaces[i].prefix);
-      k_ns_bytes_[i] = store_->InternKey("engine.store.bytes." + options_.namespaces[i].prefix);
-      store_->Pin(k_ns_keys_[i]);
-      store_->Pin(k_ns_bytes_[i]);
+  for (const ExportTable::Handle handle : export_handles_) {
+    exports_->Remove(handle);
+  }
+  export_handles_.clear();
+  exports_ = options_.enabled && store_ != nullptr ? exports : nullptr;
+  if (exports_ != nullptr) {
+    // Every key is written at the first boundary.
+    for (const char* key : {"store.retention.reclaimed", "store.retention.evictions",
+                            "store.retention.breaches", "engine.store.bytes.total",
+                            "engine.store.keys.live"}) {
+      export_handles_.push_back(exports_->Add(key));
+    }
+    for (const RetentionNamespaceOptions& ns : options_.namespaces) {
+      export_handles_.push_back(exports_->Add("engine.store.keys." + ns.prefix));
+      export_handles_.push_back(exports_->Add("engine.store.bytes." + ns.prefix));
     }
   }
   if (chaos_ != nullptr && options_.enabled) {
@@ -301,7 +294,19 @@ void RetentionManager::RunAtBoundary(SimTime now) {
   }
   ScanChunk(now, storm);
   EnforceQuota(now, breach);
-  Publish();
+  if (exports_ == nullptr) {
+    return;
+  }
+  // One at a time: each write moves the store footprint the next reads.
+  exports_->Set(export_handles_[0], stats_.reclaimed_idle);
+  exports_->Set(export_handles_[1], stats_.reclaimed_quota);
+  exports_->Set(export_handles_[2], stats_.quota_breaches);
+  exports_->Set(export_handles_[3], store_->approx_bytes());
+  exports_->Set(export_handles_[4], store_->live_key_count());
+  for (size_t i = 0; i < ns_keys_.size(); ++i) {
+    exports_->Set(export_handles_[5 + 2 * i], ns_keys_[i]);
+    exports_->Set(export_handles_[6 + 2 * i], ns_bytes_[i]);
+  }
 }
 
 void RetentionManager::AdoptKey(KeyId id, SimTime now) {
@@ -356,75 +361,16 @@ uint64_t RetentionManager::ReclaimPrefix(std::string_view prefix) {
   return reclaimed;
 }
 
-void RetentionManager::Publish() {
-  if (store_ == nullptr || k_reclaimed_ == kInvalidKeyId) {
-    return;
-  }
-  const uint64_t reclaimed = stats_.reclaimed_idle;
-  if (!keys_published_ || reclaimed != pub_reclaimed_) {
-    pub_reclaimed_ = reclaimed;
-    store_->Save(k_reclaimed_, Value(static_cast<int64_t>(reclaimed)));
-  }
-  if (!keys_published_ || stats_.reclaimed_quota != pub_evictions_) {
-    pub_evictions_ = stats_.reclaimed_quota;
-    store_->Save(k_evictions_, Value(static_cast<int64_t>(stats_.reclaimed_quota)));
-  }
-  if (!keys_published_ || stats_.quota_breaches != pub_breaches_) {
-    pub_breaches_ = stats_.quota_breaches;
-    store_->Save(k_breaches_, Value(static_cast<int64_t>(stats_.quota_breaches)));
-  }
-  const uint64_t bytes_total = store_->approx_bytes();
-  if (!keys_published_ || bytes_total != pub_bytes_total_) {
-    pub_bytes_total_ = bytes_total;
-    store_->Save(k_bytes_total_, Value(static_cast<int64_t>(bytes_total)));
-  }
-  const uint64_t live = store_->live_key_count();
-  if (!keys_published_ || live != pub_live_keys_) {
-    pub_live_keys_ = live;
-    store_->Save(k_live_keys_, Value(static_cast<int64_t>(live)));
-  }
-  for (size_t i = 0; i < k_ns_keys_.size(); ++i) {
-    if (!keys_published_ || ns_keys_[i] != pub_ns_keys_[i]) {
-      pub_ns_keys_[i] = ns_keys_[i];
-      store_->Save(k_ns_keys_[i], Value(static_cast<int64_t>(ns_keys_[i])));
-    }
-    if (!keys_published_ || ns_bytes_[i] != pub_ns_bytes_[i]) {
-      pub_ns_bytes_[i] = ns_bytes_[i];
-      store_->Save(k_ns_bytes_[i], Value(static_cast<int64_t>(ns_bytes_[i])));
-    }
-  }
-  keys_published_ = true;
-}
-
 RetentionImage RetentionManager::ExportState() const {
   RetentionImage image;
   image.cursor = cursor_;
   image.stats = stats_;
-  image.keys_published = keys_published_;
-  image.pub_reclaimed = pub_reclaimed_;
-  image.pub_evictions = pub_evictions_;
-  image.pub_breaches = pub_breaches_;
-  image.pub_bytes_total = pub_bytes_total_;
-  image.pub_live_keys = pub_live_keys_;
-  image.pub_ns_keys = pub_ns_keys_;
-  image.pub_ns_bytes = pub_ns_bytes_;
   return image;
 }
 
 void RetentionManager::RestoreState(const RetentionImage& image) {
   cursor_ = image.cursor;
   stats_ = image.stats;
-  keys_published_ = image.keys_published;
-  pub_reclaimed_ = image.pub_reclaimed;
-  pub_evictions_ = image.pub_evictions;
-  pub_breaches_ = image.pub_breaches;
-  pub_bytes_total_ = image.pub_bytes_total;
-  pub_live_keys_ = image.pub_live_keys;
-  const size_t n = options_.namespaces.size();
-  pub_ns_keys_ = image.pub_ns_keys;
-  pub_ns_keys_.resize(n, 0);
-  pub_ns_bytes_ = image.pub_ns_bytes;
-  pub_ns_bytes_.resize(n, 0);
 }
 
 void RetentionManager::ResyncAfterRestore(SimTime now) {

@@ -20,9 +20,10 @@
 //   * quota eviction     — a namespace over its key budget evicts its
 //                          least-recently-written members first (stable
 //                          tie-break: lower slot id), down to the budget.
-//   * telemetry          — value-diffed `store.retention.*` counters and
-//                          `engine.store.bytes.*` gauges, published at
-//                          callout boundaries; writes go through the normal
+//   * telemetry          — `store.retention.*` counters and
+//                          `engine.store.bytes.*` gauges, exported through
+//                          the engine's ExportTable at callout boundaries
+//                          (value-diffed); writes go through the normal
 //                          Save path so ONCHANGE guardrails can react to
 //                          breaches (the quota-exceeded corrective hook).
 //
@@ -50,6 +51,7 @@
 
 #include "src/chaos/chaos.h"
 #include "src/dsl/sema.h"
+#include "src/runtime/export_table.h"
 #include "src/store/feature_store.h"
 #include "src/support/time.h"
 
@@ -77,29 +79,21 @@ struct RetentionStats {
 };
 
 // Full retention state for the persisted engine image: a panic landing
-// mid-scan must warm-restart with the same cursor, counters, and publish
-// trackers so the post-restore trajectory matches in serial and sharded
-// runs. Membership, stamps, and byte gauges are NOT imaged — they are
-// rebuilt exactly by ResyncAfterRestore from the restored store.
+// mid-scan must warm-restart with the same cursor and counters so the
+// post-restore trajectory matches in serial and sharded runs. Membership,
+// stamps, and byte gauges are NOT imaged — they are rebuilt exactly by
+// ResyncAfterRestore from the restored store.
 struct RetentionImage {
   uint64_t cursor = 0;
   RetentionStats stats;
-  bool keys_published = false;
-  uint64_t pub_reclaimed = 0;
-  uint64_t pub_evictions = 0;
-  uint64_t pub_breaches = 0;
-  uint64_t pub_bytes_total = 0;
-  uint64_t pub_live_keys = 0;
-  std::vector<uint64_t> pub_ns_keys;   // aligned with configured namespaces
-  std::vector<uint64_t> pub_ns_bytes;
 };
 
 class RetentionManager {
  public:
-  // Interns and pins the telemetry keys when enabled. `store` may be null
-  // (bare unit tests); publishing is then a no-op. Safe to call again on
-  // spec reload.
-  void Configure(const RetentionOptions& options, FeatureStore* store);
+  // Registers the telemetry exports when enabled. `store` may be null (bare
+  // unit tests); the manager is then inert. Safe to call again on spec
+  // reload: the previous configuration's exports are removed first.
+  void Configure(const RetentionOptions& options, FeatureStore* store, ExportTable* exports);
   // Chaos is attached separately because the kernel wires it before specs
   // load; a null engine detaches.
   void AttachChaos(ChaosEngine* chaos);
@@ -113,7 +107,7 @@ class RetentionManager {
   void OnWrite(const StoreWriteInfo& info, const std::string& key, SimTime now);
 
   // Callout boundary (coordinator only): chaos sampling, incremental TTL
-  // scan, quota enforcement, telemetry publish. The only place reclamation
+  // scan, quota enforcement, telemetry exports. The only place reclamation
   // happens.
   void RunAtBoundary(SimTime now);
 
@@ -156,7 +150,6 @@ class RetentionManager {
   bool TryReclaim(KeyId id, Tracked& t, bool quota);
   void ScanChunk(SimTime now, bool storm);
   void EnforceQuota(SimTime now, bool breach_all);
-  void Publish();
 
   RetentionOptions options_;
   FeatureStore* store_ = nullptr;
@@ -171,22 +164,10 @@ class RetentionManager {
   uint64_t cursor_ = 0;
   RetentionStats stats_;
 
-  // Telemetry keys (pinned at Configure).
-  KeyId k_reclaimed_ = kInvalidKeyId;
-  KeyId k_evictions_ = kInvalidKeyId;
-  KeyId k_breaches_ = kInvalidKeyId;
-  KeyId k_bytes_total_ = kInvalidKeyId;
-  KeyId k_live_keys_ = kInvalidKeyId;
-  std::vector<KeyId> k_ns_keys_;
-  std::vector<KeyId> k_ns_bytes_;
-  bool keys_published_ = false;
-  uint64_t pub_reclaimed_ = 0;
-  uint64_t pub_evictions_ = 0;
-  uint64_t pub_breaches_ = 0;
-  uint64_t pub_bytes_total_ = 0;
-  uint64_t pub_live_keys_ = 0;
-  std::vector<uint64_t> pub_ns_keys_;
-  std::vector<uint64_t> pub_ns_bytes_;
+  // Telemetry exports, in write order: reclaimed, evictions, breaches,
+  // bytes total, live keys, then (keys, bytes) per namespace.
+  ExportTable* exports_ = nullptr;
+  std::vector<ExportTable::Handle> export_handles_;
 };
 
 // Built-in namespace defaults applied by the engine when a retention block

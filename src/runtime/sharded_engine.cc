@@ -53,6 +53,22 @@ bool IsStoreWriteHelper(HelperId id) {
   return id == HelperId::kSave || id == HelperId::kIncr || id == HelperId::kObserve;
 }
 
+// engine.shard.* exports, in write order (ExportTelemetry); the per-shard
+// evals / ring_hwm pairs follow.
+constexpr const char* kShardExportKeys[] = {
+    "engine.shard.count",
+    "engine.shard.batches",
+    "engine.shard.parallel_evals",
+    "engine.shard.serial_evals",
+    "engine.shard.merge_ns",
+    "engine.shard.watchdog_timeouts",
+    "engine.shard.stolen_evals",
+    "engine.shard.respawns",
+    "engine.shard.quarantine_evals",
+    "engine.shard.readmissions",
+    "engine.shard.ring_high_water",
+};
+
 // Store keys the engine infrastructure itself publishes at evaluation and
 // callout boundaries (supervisor exports, dispatcher latency, tier/uptime/
 // shard counters). A rule reading one of these observes engine-internal
@@ -191,27 +207,18 @@ ShardedEngine::ShardedEngine(Engine* engine, ShardingOptions options)
     shard->thread = std::thread([this, shard, ring, ctl] { WorkerLoop(shard, ring, ctl); });
   }
   if (options_.telemetry) {
-    FeatureStore& store = *engine_->store_;
-    k_count_ = store.InternKey("engine.shard.count");
-    k_batches_ = store.InternKey("engine.shard.batches");
-    k_parallel_ = store.InternKey("engine.shard.parallel_evals");
-    k_serial_ = store.InternKey("engine.shard.serial_evals");
-    k_merge_ns_ = store.InternKey("engine.shard.merge_ns");
-    k_timeouts_ = store.InternKey("engine.shard.watchdog_timeouts");
-    k_stolen_ = store.InternKey("engine.shard.stolen_evals");
-    k_respawns_ = store.InternKey("engine.shard.respawns");
-    k_quarantine_ = store.InternKey("engine.shard.quarantine_evals");
-    k_readmissions_ = store.InternKey("engine.shard.readmissions");
-    k_ring_hwm_ = store.InternKey("engine.shard.ring_high_water");
-    k_shard_evals_.reserve(n);
-    k_shard_hwm_.reserve(n);
+    // The count is written at the first boundary; the counters only once
+    // they leave zero.
+    ExportTable& exports = engine_->exports_;
+    for (const char* key : kShardExportKeys) {
+      export_handles_.push_back(exports.Add(key, key != kShardExportKeys[0]));
+    }
     for (size_t i = 0; i < n; ++i) {
       const std::string prefix = "engine.shard." + std::to_string(i);
-      k_shard_evals_.push_back(store.InternKey(prefix + ".evals"));
-      k_shard_hwm_.push_back(store.InternKey(prefix + ".ring_hwm"));
+      export_handles_.push_back(exports.Add(prefix + ".evals", /*already_published=*/true));
+      export_handles_.push_back(exports.Add(prefix + ".ring_hwm", /*already_published=*/true));
     }
-    published_shard_evals_.assign(n, 0);
-    published_shard_hwm_.assign(n, 0);
+    engine_->sharded_ = this;
   }
   OSGUARD_LOG(kDebug) << "sharded engine up: " << n << " shard worker(s), ring capacity "
                       << shards_[0]->ring->capacity();
@@ -236,6 +243,12 @@ ShardedEngine::~ShardedEngine() {
       worker.thread.join();
     }
   }
+  if (engine_->sharded_ == this) {
+    engine_->sharded_ = nullptr;
+    for (const ExportTable::Handle handle : export_handles_) {
+      engine_->exports_.Remove(handle);
+    }
+  }
 }
 
 void ShardedEngine::AdvanceTo(SimTime t) {
@@ -247,7 +260,6 @@ void ShardedEngine::AdvanceTo(SimTime t) {
       ++stats_.serial_callouts;
     }
     e.AdvanceTo(t);
-    PublishTelemetry();
     return;
   }
   e.ApplyPendingRollbacks();
@@ -296,20 +308,13 @@ void ShardedEngine::AdvanceTo(SimTime t) {
       if (GlobalSerialRequired()) {
         ++stats_.serial_callouts;
         e.AdvanceTo(t);  // finishes the remaining entries + the boundary
-        PublishTelemetry();
         return;
       }
     }
   }
   FlushBatch();
   e.now_ = std::max(e.now_, t);
-  e.ApplyPendingRollbacks();
-  e.PublishUptimeStats();
-  e.PublishTierStats();
-  e.RunRetention();
-  e.FinishCalloutGovernor();
-  PublishTelemetry();
-  e.CommitPersist();
+  e.FinishCallout();
 }
 
 void ShardedEngine::WorkerLoop(Shard* shard, SpscRing<EvalTask*>* ring,
@@ -654,13 +659,7 @@ void ShardedEngine::SerialCallout(const std::vector<Engine::Monitor*>& hooked) {
       e.Evaluate(*monitor, e.now_);
     }
   }
-  e.ApplyPendingRollbacks();
-  e.PublishUptimeStats();
-  e.PublishTierStats();
-  e.RunRetention();
-  e.FinishCalloutGovernor();
-  PublishTelemetry();
-  e.CommitPersist();
+  e.FinishCallout();
 }
 
 void ShardedEngine::OnFunctionCall(std::string_view function, SimTime t) {
@@ -701,13 +700,7 @@ void ShardedEngine::OnFunctionCall(std::string_view function, SimTime t) {
     DispatchMonitor(monitor, now);
   }
   FlushBatch();
-  e.ApplyPendingRollbacks();
-  e.PublishUptimeStats();
-  e.PublishTierStats();
-  e.RunRetention();
-  e.FinishCalloutGovernor();
-  PublishTelemetry();
-  e.CommitPersist();
+  e.FinishCallout();
 }
 
 void ShardedEngine::DispatchMonitor(Engine::Monitor* monitor, SimTime t) {
@@ -758,7 +751,7 @@ void ShardedEngine::DispatchMonitor(Engine::Monitor* monitor, SimTime t) {
     // monitor's own Finish is the only mutator and it merges later.
     // Probation and wall-budget holdouts are serial-classified, so a task
     // here never carries them. The counters land in the same boundary
-    // totals PublishTierStats diffs (it is a no-op mid-eval either way).
+    // totals the engine.tier.* exports read.
     if (monitor->promoted && monitor->native != nullptr &&
         monitor->native->rule != nullptr && prep.budget_steps == 0 &&
         (monitor->guard == nullptr || !monitor->guard->in_probation)) {
@@ -768,7 +761,6 @@ void ShardedEngine::DispatchMonitor(Engine::Monitor* monitor, SimTime t) {
     } else {
       ++e.tier_stats_.interp_evals;
     }
-    e.tier_dirty_ = true;
   }
   in_batch_.push_back(monitor);
   ++shard.inflight;
@@ -906,38 +898,27 @@ void ShardedEngine::FlushBatch() {
   in_batch_.clear();
 }
 
-void ShardedEngine::PublishTelemetry() {
-  if (!options_.telemetry || k_count_ == kInvalidKeyId) {
-    return;
+void ShardedEngine::ExportTelemetry() {
+  const uint64_t values[] = {shards_.size(),
+                             stats_.batches,
+                             stats_.parallel_evals,
+                             stats_.serial_evals,
+                             static_cast<uint64_t>(stats_.merge_ns),
+                             stats_.watchdog_timeouts,
+                             stats_.stolen_evals,
+                             stats_.worker_respawns,
+                             stats_.quarantine_evals,
+                             stats_.readmissions,
+                             RingHighWaterMark()};
+  ExportTable& exports = engine_->exports_;
+  size_t h = 0;
+  for (const uint64_t value : values) {
+    exports.Set(export_handles_[h++], static_cast<int64_t>(value));
   }
-  FeatureStore& store = *engine_->store_;
-  if (!telemetry_ready_) {
-    telemetry_ready_ = true;
-    store.Save(k_count_, Value(static_cast<int64_t>(shards_.size())));
-  }
-  const auto publish = [&store](KeyId key, uint64_t value, uint64_t& last) {
-    if (value != last) {
-      last = value;
-      store.Save(key, Value(static_cast<int64_t>(value)));
-    }
-  };
-  publish(k_batches_, stats_.batches, published_.batches);
-  publish(k_parallel_, stats_.parallel_evals, published_.parallel_evals);
-  publish(k_serial_, stats_.serial_evals, published_.serial_evals);
-  if (stats_.merge_ns != published_.merge_ns) {
-    published_.merge_ns = stats_.merge_ns;
-    store.Save(k_merge_ns_, Value(stats_.merge_ns));
-  }
-  publish(k_timeouts_, stats_.watchdog_timeouts, published_.watchdog_timeouts);
-  publish(k_stolen_, stats_.stolen_evals, published_.stolen_evals);
-  publish(k_respawns_, stats_.worker_respawns, published_.worker_respawns);
-  publish(k_quarantine_, stats_.quarantine_evals, published_.quarantine_evals);
-  publish(k_readmissions_, stats_.readmissions, published_.readmissions);
-  publish(k_ring_hwm_, RingHighWaterMark(), published_ring_hwm_);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    publish(k_shard_evals_[i], shards_[i]->evals.load(std::memory_order_relaxed),
-            published_shard_evals_[i]);
-    publish(k_shard_hwm_[i], shards_[i]->hwm, published_shard_hwm_[i]);
+  for (const auto& shard : shards_) {
+    exports.Set(export_handles_[h++],
+                static_cast<int64_t>(shard->evals.load(std::memory_order_relaxed)));
+    exports.Set(export_handles_[h++], static_cast<int64_t>(shard->hwm));
   }
 }
 

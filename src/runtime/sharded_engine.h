@@ -19,7 +19,8 @@
 //               ReadView (the store is writer-quiescent during the drain)
 //           --> barrier, then coordinator: FinishRuleEval per task in the
 //               original sequence order (supervisor protocol, reports,
-//               action programs — all serial), rollbacks, publish, persist.
+//               action programs — all serial), then Engine::FinishCallout
+//               (rollbacks, exports, persist commit).
 //
 // Monitors whose evaluation is order-sensitive (rules reading keys that this
 // callout's actions may write, wall-clock budgets, dynamic store keys,
@@ -87,7 +88,7 @@ struct ShardingOptions {
   bool enabled = false;
   // Worker thread count; 0 = hardware_concurrency() - 1, clamped to [1, 16].
   size_t shards = 0;
-  // Publish engine.shard.* feature-store keys at callout boundaries. The
+  // Export engine.shard.* feature-store keys at callout boundaries. The
   // differential tests turn this off: telemetry is the one store surface
   // where serial and sharded runs legitimately differ.
   bool telemetry = true;
@@ -307,7 +308,9 @@ class ShardedEngine {
   void FlushBatch();
   // Fully serial callout body (global fallback), identical to the engine's.
   void SerialCallout(const std::vector<Engine::Monitor*>& hooked);
-  void PublishTelemetry();
+  // Sets the engine.shard.* exports; called by Engine::FinishCallout.
+  friend class Engine;
+  void ExportTelemetry();
 
   Engine* engine_;
   ShardingOptions options_;
@@ -344,24 +347,9 @@ class ShardedEngine {
   ChaosSiteId die_site_ = kInvalidChaosSite;
 
   ShardedStats stats_;
-  ShardedStats published_;  // last telemetry values written to the store
-  bool telemetry_ready_ = false;
-  KeyId k_count_ = kInvalidKeyId;
-  KeyId k_batches_ = kInvalidKeyId;
-  KeyId k_parallel_ = kInvalidKeyId;
-  KeyId k_serial_ = kInvalidKeyId;
-  KeyId k_merge_ns_ = kInvalidKeyId;
-  KeyId k_timeouts_ = kInvalidKeyId;
-  KeyId k_stolen_ = kInvalidKeyId;
-  KeyId k_respawns_ = kInvalidKeyId;
-  KeyId k_quarantine_ = kInvalidKeyId;
-  KeyId k_readmissions_ = kInvalidKeyId;
-  KeyId k_ring_hwm_ = kInvalidKeyId;  // engine.shard.ring_high_water (max over shards)
-  uint64_t published_ring_hwm_ = 0;
-  std::vector<KeyId> k_shard_evals_;
-  std::vector<KeyId> k_shard_hwm_;
-  std::vector<uint64_t> published_shard_evals_;
-  std::vector<uint64_t> published_shard_hwm_;
+  // engine.shard.* exports in write order (kShardExportKeys, then an
+  // evals / ring_hwm pair per shard); empty with telemetry off.
+  std::vector<ExportTable::Handle> export_handles_;
 };
 
 }  // namespace osguard

@@ -110,12 +110,13 @@ TEST_F(RetentionTest, AbsentBlockMeansAbsentPolicy) {
 
 struct BareRetention {
   FeatureStore store;
+  ExportTable exports{&store};
   RetentionManager manager;
   SimTime now = 0;
 
   explicit BareRetention(RetentionOptions options) {
     options.enabled = true;
-    manager.Configure(options, &store);
+    manager.Configure(options, &store, &exports);
     store.SetWriteObserver(
         [this](const StoreWriteInfo& info, const std::string& key) {
           manager.OnWrite(info, key, now);
