@@ -290,6 +290,10 @@ Result<uint64_t> AssignAttrs(const BlockSchema& block, const std::vector<MetaAtt
     auto error = [&](const std::string& message) {
       return SemanticError(message + At(owner, label, attr.line));
     };
+    // A value of the wrong type keeps its code and gains the same context.
+    auto mismatch = [&](const Status& status) {
+      return Status(status.code(), status.message() + At(owner, label, attr.line));
+    };
     const AttrSchema* row = FindAttr(block, attr.key);
     if (row == nullptr) {
       return error("unknown " + std::string(block.name) + " attribute '" + attr.key +
@@ -314,7 +318,11 @@ Result<uint64_t> AssignAttrs(const BlockSchema& block, const std::vector<MetaAtt
           if (element.type() == ValueType::kFloat && !(element.NumericOr(0.0) < 0x1p63)) {
             return error(std::string(row->key) + " must fit in 64 bits");
           }
-          OSGUARD_ASSIGN_OR_RETURN(i, element.AsInt());
+          const Result<int64_t> n = element.AsInt();
+          if (!n.ok()) {
+            return mismatch(n.status());
+          }
+          i = n.value();
           if (i < row->min) {
             return error(row->message);
           }
@@ -331,15 +339,18 @@ Result<uint64_t> AssignAttrs(const BlockSchema& block, const std::vector<MetaAtt
         }
         break;
       case AttrType::kBool: {
-        OSGUARD_ASSIGN_OR_RETURN(bool b, value.AsBool());
-        i = b;
+        const Result<bool> b = value.AsBool();
+        if (!b.ok()) {
+          return mismatch(b.status());
+        }
+        i = b.value();
         break;
       }
       case AttrType::kString:
       case AttrType::kEnum: {
         const std::string* s = value.IfString();
         if (s == nullptr) {
-          return value.AsString().status();
+          return mismatch(value.AsString().status());
         }
         if (row->type == AttrType::kEnum) {
           auto name = std::find(row->names.begin(), row->names.end(), *s);

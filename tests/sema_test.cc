@@ -370,14 +370,18 @@ TEST(SemaGoldenTest, BlockRejectSitesKeepTheirDiagnostics) {
       // --- sema: meta ---
       {Guarded("meta: { severity = loud }"), kSema,
        "severity must be info|warning|critical (guardrail 'g', line 1)"},
-      {Guarded("meta: { severity = 3 }"), kType, "value is not a string: 3"},
-      {Guarded("meta: { cooldown = soon }"), kType, "value is not numeric: \"soon\""},
+      {Guarded("meta: { severity = 3 }"), kType,
+       "value is not a string: 3 (guardrail 'g', line 1)"},
+      {Guarded("meta: { cooldown = soon }"), kType,
+       "value is not numeric: \"soon\" (guardrail 'g', line 1)"},
       {Guarded("meta: { cooldown = 1s }"), kSema,
        "cooldown must be >= 0 (guardrail 'g', line 1)", "cooldown"},
       {Guarded("meta: { hysteresis = 0 }"), kSema,
        "hysteresis must be >= 1 (guardrail 'g', line 1)"},
-      {Guarded("meta: { enabled = \"yes\" }"), kType, "value is not boolean: \"yes\""},
-      {Guarded("meta: { description = 5 }"), kType, "value is not a string: 5"},
+      {Guarded("meta: { enabled = \"yes\" }"), kType,
+       "value is not boolean: \"yes\" (guardrail 'g', line 1)"},
+      {Guarded("meta: { description = 5 }"), kType,
+       "value is not a string: 5 (guardrail 'g', line 1)"},
       {Guarded("meta: { tier = turbo }"), kSema,
        "tier must be auto|interpreter|native (guardrail 'g', line 1)"},
       {Guarded("meta: { criticality = vital }"), kSema,
@@ -408,7 +412,8 @@ TEST(SemaGoldenTest, BlockRejectSitesKeepTheirDiagnostics) {
        "ewma_alpha must be a number in (0, 1] (guardrail 'g', line 1)"},
       {Guarded("health: { ewma_alpha = fast }"), kSema,
        "ewma_alpha must be a number in (0, 1] (guardrail 'g', line 1)"},
-      {Guarded("health: { budget_steps = true }"), kType, "value is not numeric: true"},
+      {Guarded("health: { budget_steps = true }"), kType,
+       "value is not numeric: true (guardrail 'g', line 1)"},
       {Guarded("health: { teapot = 4 }"), kSema,
        "unknown health attribute 'teapot' (expected budget_steps, budget_ns, flap_window, "
        "flap_threshold, quarantine, probe_every, reinstate, probation, or ewma_alpha) "
@@ -418,7 +423,8 @@ TEST(SemaGoldenTest, BlockRejectSitesKeepTheirDiagnostics) {
       // --- sema: chaos sites ---
       {"chaos { site s { mode = teapot } }", kSema,
        "mode must be off|bernoulli|schedule|burst (chaos site 's', line 1)"},
-      {"chaos { site s { mode = 1 } }", kType, "value is not a string: 1"},
+      {"chaos { site s { mode = 1 } }", kType,
+       "value is not a string: 1 (chaos site 's', line 1)"},
       {"chaos { site s { mode = bernoulli, p = 1.5 } }", kSema,
        "p must be a number in [0, 1] (chaos site 's', line 1)"},
       {"chaos { site s { mode = bernoulli, p = high } }", kSema,
@@ -428,7 +434,7 @@ TEST(SemaGoldenTest, BlockRejectSitesKeepTheirDiagnostics) {
       {"chaos { site s { mode = schedule, nth = {1, 2} } }", kSema,
        "nth indices must be >= 0 (chaos site 's', line 1)", "nth"},
       {"chaos { site s { mode = schedule, nth = {1, \"x\"} } }", kType,
-       "value is not numeric: \"x\""},
+       "value is not numeric: \"x\" (chaos site 's', line 1)"},
       {"chaos { site s { mode = burst, period = 0 } }", kSema,
        "period must be > 0 (chaos site 's', line 1)"},
       {"chaos { site s { mode = burst, burst = 0 } }", kSema,
@@ -460,7 +466,7 @@ TEST(SemaGoldenTest, BlockRejectSitesKeepTheirDiagnostics) {
        kSema, "bernoulli mode needs p > 0 (chaos site 'b', line 4)"},
       // --- sema: chaos block ---
       {"chaos { seed = 3 }", kSema, "seed must be >= 0 (chaos block, line 1)", "seed"},
-      {"chaos { seed = x }", kType, "value is not numeric: \"x\""},
+      {"chaos { seed = x }", kType, "value is not numeric: \"x\" (chaos block, line 1)"},
       {"chaos { tea = 4 }", kSema,
        "unknown chaos attribute 'tea' (expected seed) (chaos block, line 1)"},
       {"chaos { site s { mode = off }, site s { mode = off } }", kSema,
@@ -468,7 +474,8 @@ TEST(SemaGoldenTest, BlockRejectSitesKeepTheirDiagnostics) {
       // --- sema: persist ---
       {"persist { interval = 0 }", kSema,
        "interval must be a positive duration (persist block, line 1)"},
-      {"persist { interval = soon }", kType, "value is not numeric: \"soon\""},
+      {"persist { interval = soon }", kType,
+       "value is not numeric: \"soon\" (persist block, line 1)"},
       {"persist { journal_budget = 4 }", kSema,
        "journal_budget must be >= 0 bytes (0 = unbounded) (persist block, line 1)",
        "journal_budget"},
@@ -478,7 +485,8 @@ TEST(SemaGoldenTest, BlockRejectSitesKeepTheirDiagnostics) {
       // --- sema: retention ---
       {"retention { scan_chunk = 0 }", kSema,
        "scan_chunk must be > 0 slots (retention block, line 1)"},
-      {"retention { scan_chunk = many }", kType, "value is not numeric: \"many\""},
+      {"retention { scan_chunk = many }", kType,
+       "value is not numeric: \"many\" (retention block, line 1)"},
       {"retention { frobnicate = 3 }", kSema,
        "unknown retention attribute 'frobnicate' (expected scan_chunk) (retention block, line 1)"},
       {"retention { namespace \"\" { idle_ttl = 1s } }", kSema,
@@ -490,7 +498,7 @@ TEST(SemaGoldenTest, BlockRejectSitesKeepTheirDiagnostics) {
       {"retention { namespace \"a.\" { idle_ttl = 1s } }", kSema,
        "idle_ttl must be a non-negative duration (retention namespace 'a.', line 1)", "idle_ttl"},
       {"retention { namespace \"a.\" { max_keys = lots } }", kType,
-       "value is not numeric: \"lots\""},
+       "value is not numeric: \"lots\" (retention namespace 'a.', line 1)"},
       {"retention { namespace \"a.\" { frobnicate = 3 } }", kSema,
        "unknown retention namespace attribute 'frobnicate' (expected max_keys or idle_ttl) "
        "(retention namespace 'a.', line 1)"},
