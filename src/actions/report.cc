@@ -77,14 +77,17 @@ std::vector<ReportRecord> Reporter::RecordsFor(const std::string& guardrail) con
   return out;
 }
 
-std::vector<ReportRecord> Reporter::RecordsSince(uint64_t from) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ReportRecord> out;
-  for (const ReportRecord& record : records_) {
-    if (record.sequence >= from) {
-      out.push_back(record);
-    }
+size_t Reporter::TailStart(uint64_t from) const {
+  size_t start = records_.size();
+  while (start > 0 && records_[start - 1].sequence >= from) {
+    --start;
   }
+  return start;
+}
+
+std::vector<ReportRecord> Reporter::RecordsSince(uint64_t from) const {
+  std::vector<ReportRecord> out;
+  VisitSince(from, [&out](const ReportRecord& record) { out.push_back(record); });
   return out;
 }
 

@@ -9,6 +9,7 @@
 #ifndef SRC_ACTIONS_REPORT_H_
 #define SRC_ACTIONS_REPORT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -82,7 +83,22 @@ class Reporter {
 
   // Retained records with sequence >= from, oldest first (the persist
   // layer's per-frame delta: records reported since the last commit).
+  // Sequences increase along the ring (Report assigns them in order, and
+  // recovery restores records in the order they were written), so this is
+  // the ring's tail and is found by walking back from the newest record.
   std::vector<ReportRecord> RecordsSince(uint64_t from) const;
+
+  // Calls fn(record) on each record RecordsSince(from) would return, in the
+  // same order, under the reporter's lock and without copying. `fn` must
+  // not call back into the reporter. from = 0 visits the whole ring.
+  template <typename Fn>
+  void VisitSince(uint64_t from, Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = records_.begin() + static_cast<std::ptrdiff_t>(TailStart(from));
+         it != records_.end(); ++it) {
+      fn(*it);
+    }
+  }
 
   uint64_t total_reports() const;
   uint64_t CountFor(const std::string& guardrail) const;
@@ -103,6 +119,10 @@ class Reporter {
   void Clear();
 
  private:
+  // Index of the first record of the tail with sequence >= from. Caller
+  // holds mu_.
+  size_t TailStart(uint64_t from) const;
+
   mutable std::mutex mu_;
   size_t capacity_;
   uint64_t next_sequence_ = 0;

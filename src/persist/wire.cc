@@ -1,6 +1,6 @@
 #include "src/persist/wire.h"
 
-#include <bit>
+#include <array>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -9,18 +9,29 @@ namespace osguard {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+// kCrcTables[0] is the classic byte-at-a-time table; kCrcTables[k][i] is the
+// CRC of byte i followed by k zero bytes, so one step can fold eight bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    tables[0][i] = c;
+  }
+  for (size_t k = 1; k < 8; ++k) {
     for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      entries[i] = c;
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
     }
   }
-};
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
 
 Status TruncatedError(size_t offset, size_t need, size_t have) {
   return OutOfRangeError("truncated: need " + std::to_string(need) + " bytes at offset " +
@@ -30,36 +41,24 @@ Status TruncatedError(size_t offset, size_t need, size_t have) {
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  static const Crc32Table table;
+  const auto& t = kCrcTables;
   uint32_t crc = 0xffffffffu;
-  for (const char ch : data) {
-    crc = table.entries[(crc ^ static_cast<uint8_t>(ch)) & 0xffu] ^ (crc >> 8);
+  const char* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo;
+    uint32_t hi;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= crc;
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+          t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ static_cast<uint8_t>(*p)) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
-}
-
-void ByteWriter::U32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void ByteWriter::U64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out_->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void ByteWriter::F64(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
-}
-
-void ByteWriter::Str(std::string_view s) {
-  U32(static_cast<uint32_t>(s.size()));
-  out_->append(s);
 }
 
 Result<uint8_t> ByteReader::U8() {
@@ -73,10 +72,8 @@ Result<uint32_t> ByteReader::U32() {
   if (remaining() < 4) {
     return TruncatedError(offset_, 4, remaining());
   }
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[offset_ + i])) << (8 * i);
-  }
+  uint32_t v;
+  std::memcpy(&v, data_.data() + offset_, sizeof(v));
   offset_ += 4;
   return v;
 }
@@ -85,10 +82,8 @@ Result<uint64_t> ByteReader::U64() {
   if (remaining() < 8) {
     return TruncatedError(offset_, 8, remaining());
   }
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[offset_ + i])) << (8 * i);
-  }
+  uint64_t v;
+  std::memcpy(&v, data_.data() + offset_, sizeof(v));
   offset_ += 8;
   return v;
 }

@@ -16,7 +16,9 @@
 #ifndef SRC_PERSIST_WIRE_H_
 #define SRC_PERSIST_WIRE_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -25,27 +27,47 @@
 
 namespace osguard {
 
-// CRC-32 (IEEE 802.3 polynomial, reflected). Table-driven, no zlib
-// dependency; the persist layer frames every payload with this.
+// The wire format is little-endian, and the codec copies whole words in host
+// order.
+static_assert(std::endian::native == std::endian::little,
+              "the persist wire codec assumes a little-endian host");
+
+// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8: eight 256-entry
+// tables fold eight input bytes per step. No zlib dependency; the persist
+// layer frames every payload with this.
 uint32_t Crc32(std::string_view data);
 
-// Appends primitives to a caller-owned buffer.
+// Appends primitives to a caller-owned buffer. Multi-byte values are
+// appended as whole words.
 class ByteWriter {
  public:
   explicit ByteWriter(std::string* out) : out_(out) {}
 
   void U8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v);
+  void U32(uint32_t v) { Word(v); }
+  void U64(uint64_t v) { Word(v); }
+  void I64(int64_t v) { Word(v); }
+  void F64(double v) { Word(v); }
   // u32 length prefix + raw bytes.
-  void Str(std::string_view s);
+  void Str(std::string_view s) {
+    U32(static_cast<uint32_t>(s.size()));
+    out_->append(s);
+  }
   void Raw(std::string_view bytes) { out_->append(bytes); }
+  // Overwrites four already-written bytes at `offset` (a length or count
+  // that is only known once what follows it has been written).
+  void PatchU32(size_t offset, uint32_t v) { std::memcpy(out_->data() + offset, &v, sizeof(v)); }
 
   std::string* out() { return out_; }
 
  private:
+  template <typename T>
+  void Word(T v) {
+    char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    out_->append(bytes, sizeof(T));
+  }
+
   std::string* out_;
 };
 

@@ -343,54 +343,80 @@ TEST(FuzzTest, RandomBytesNeverCrashThePersistDecoders) {
   }
 }
 
-TEST(FuzzTest, MutatedJournalsKeepTheValidPrefixAndDiagnoseStably) {
-  std::string valid;
+// A mixed journal: frame 1 is a key frame and the rest are image-delta
+// frames against the frame before, except frames 4 and 5: frame 4 changes
+// the whole image and frame 5 changes it back, so both go as key frames.
+std::string MixedFuzzJournal() {
+  std::string journal;
+  std::string previous;
   for (uint64_t seq = 1; seq <= 6; ++seq) {
-    AppendFrame(PersistFuzzFrame(seq), &valid);
-  }
-  const FrameScan clean = ScanJournal(valid);
-  ASSERT_EQ(clean.frames.size(), 6u);
-  ASSERT_TRUE(clean.detail.empty());
-
-  Rng rng(808);
-  for (int iteration = 0; iteration < 3000; ++iteration) {
-    std::string mutated = valid;
-    switch (rng.UniformInt(0, 3)) {
-      case 0: {  // single bit flip
-        const size_t at = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
-        mutated[at] = static_cast<char>(mutated[at] ^ (1u << rng.UniformInt(0, 7)));
-        break;
-      }
-      case 1:  // truncated tail
-        mutated.resize(static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(mutated.size()))));
-        break;
-      case 2: {  // random byte overwrite run
-        const size_t at = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
-        const size_t run = static_cast<size_t>(rng.UniformInt(1, 8));
-        for (size_t i = at; i < mutated.size() && i < at + run; ++i) {
-          mutated[i] = static_cast<char>(rng.UniformInt(0, 255));
-        }
-        break;
-      }
-      default:  // garbage appended after the valid frames
-        for (int i = 0; i < 16; ++i) {
-          mutated += static_cast<char>(rng.UniformInt(0, 255));
-        }
-        break;
+    JournalFrame frame = PersistFuzzFrame(seq);
+    frame.image = std::string(64, seq == 4 ? 'y' : 'x');
+    frame.image[seq * 5] = static_cast<char>('0' + seq);
+    if (seq == 1) {
+      AppendFrame(frame, &journal);
+    } else {
+      AppendDeltaFrame(frame, previous, &journal);
     }
-    const FrameScan scan = ScanJournal(mutated);
-    EXPECT_EQ(ScanVerdict(mutated), ScanVerdict(mutated));  // stable
-    // Total safety: whatever survives the scan is a prefix of real frames —
-    // every accepted frame must decode identically to the original at its
-    // position, unless the mutation landed beyond it.
-    ASSERT_LE(scan.valid_bytes, mutated.size());
-    for (size_t i = 0; i < scan.frames.size() && i < clean.frames.size(); ++i) {
-      if (mutated.compare(0, clean.frame_ends[i], valid, 0, clean.frame_ends[i]) == 0) {
-        EXPECT_EQ(scan.frames[i].seq, clean.frames[i].seq);
-        EXPECT_EQ(scan.frames[i].image, clean.frames[i].image);
+    previous = frame.image;
+  }
+  return journal;
+}
+
+TEST(FuzzTest, MutatedJournalsKeepTheValidPrefixAndDiagnoseStably) {
+  std::string key_only;
+  for (uint64_t seq = 1; seq <= 6; ++seq) {
+    AppendFrame(PersistFuzzFrame(seq), &key_only);
+  }
+  const std::string mixed = MixedFuzzJournal();
+  ASSERT_NE(mixed.find("OGJ2"), std::string::npos);
+  for (const std::string* journal : std::vector<const std::string*>{&key_only, &mixed}) {
+    const std::string& valid = *journal;
+    const FrameScan clean = ScanJournal(valid);
+    ASSERT_EQ(clean.frames.size(), 6u);
+    ASSERT_TRUE(clean.detail.empty()) << clean.detail;
+
+    Rng rng(808);
+    for (int iteration = 0; iteration < 3000; ++iteration) {
+      std::string mutated = valid;
+      switch (rng.UniformInt(0, 3)) {
+        case 0: {  // single bit flip
+          const size_t at = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
+          mutated[at] = static_cast<char>(mutated[at] ^ (1u << rng.UniformInt(0, 7)));
+          break;
+        }
+        case 1:  // truncated tail
+          mutated.resize(static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(mutated.size()))));
+          break;
+        case 2: {  // random byte overwrite run
+          const size_t at = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
+          const size_t run = static_cast<size_t>(rng.UniformInt(1, 8));
+          for (size_t i = at; i < mutated.size() && i < at + run; ++i) {
+            mutated[i] = static_cast<char>(rng.UniformInt(0, 255));
+          }
+          break;
+        }
+        default:  // garbage appended after the valid frames
+          for (int i = 0; i < 16; ++i) {
+            mutated += static_cast<char>(rng.UniformInt(0, 255));
+          }
+          break;
+      }
+      const FrameScan scan = ScanJournal(mutated);
+      EXPECT_EQ(ScanVerdict(mutated), ScanVerdict(mutated));  // stable
+      // Total safety: whatever survives the scan is a prefix of real frames —
+      // every accepted frame must decode identically to the original at its
+      // position (a delta frame's image rebuilt in full), unless the
+      // mutation landed beyond it.
+      ASSERT_LE(scan.valid_bytes, mutated.size());
+      for (size_t i = 0; i < scan.frames.size() && i < clean.frames.size(); ++i) {
+        if (mutated.compare(0, clean.frame_ends[i], valid, 0, clean.frame_ends[i]) == 0) {
+          EXPECT_EQ(scan.frames[i].seq, clean.frames[i].seq);
+          EXPECT_EQ(scan.frames[i].image, clean.frames[i].image);
+        }
       }
     }
   }
@@ -425,6 +451,9 @@ TEST(FuzzTest, PersistCorpusBinarySeedsDecodeStably) {
       EXPECT_TRUE(scan.detail.empty()) << entry.path() << ": " << scan.detail;
       EXPECT_GT(scan.frames.size(), 0u) << entry.path();
       EXPECT_EQ(scan.discarded_bytes, 0u) << entry.path();
+      if (stem == "valid_journal_delta") {
+        EXPECT_NE(bytes.find("OGJ2"), std::string::npos) << entry.path();
+      }
     } else if (stem.rfind("valid_snapshot", 0) == 0) {
       EXPECT_TRUE(snap_first.ok()) << entry.path() << ": "
                                    << snap_first.status().ToString();
