@@ -66,6 +66,21 @@ TEST_F(EngineTest, NextTimerDeadlineIsExposed) {
   EXPECT_EQ(*engine_.NextTimerDeadline(), Seconds(1));
   engine_.AdvanceTo(Seconds(1));
   EXPECT_EQ(*engine_.NextTimerDeadline(), Seconds(2));
+
+  // An unloaded monitor leaves stale entries in the heap, here on top; the
+  // deadline skips them.
+  Load(R"(
+    guardrail early {
+      trigger: { TIMER(100ms, 100ms) },
+      rule: { true },
+      action: { REPORT() }
+    }
+  )");
+  EXPECT_EQ(*engine_.NextTimerDeadline(), Milliseconds(1100));
+  ASSERT_TRUE(engine_.Unload("early").ok());
+  EXPECT_EQ(*engine_.NextTimerDeadline(), Seconds(2));
+  ASSERT_TRUE(engine_.Unload("simple").ok());
+  EXPECT_FALSE(engine_.NextTimerDeadline().has_value());
 }
 
 TEST_F(EngineTest, ViolationRunsAction) {
