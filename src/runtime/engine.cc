@@ -318,6 +318,8 @@ Status Engine::LoadSource(const std::string& source) {
           RetentionNamespaceOptions{ns.prefix, ns.max_keys, ns.idle_ttl});
     }
     retention_.Configure(WithBuiltinNamespaces(std::move(ropts)), store_, &exports_);
+    // Configure starts from empty tracking; govern the keys already live.
+    retention_.ResyncFromStore(now_);
     retention_.AttachChaos(chaos_);
   }
   OSGUARD_ASSIGN_OR_RETURN(std::vector<CompiledGuardrail> compiled, CompileSpec(analyzed));
@@ -1730,7 +1732,7 @@ Result<RecoveryInfo> Engine::Restore(PersistManager& persist) {
   // Replay ran with observers suppressed, so the retention manager saw none
   // of the writes. Rebuild its membership and stamps from the restored store
   // (deterministic: both sides of a differential restore the same slots).
-  retention_.ResyncAfterRestore(now_);
+  retention_.ResyncFromStore(now_);
   // The restored store holds every export's last committed value.
   exports_.ResyncFromStore();
   last_report_mark_ = reporter_.total_reports();

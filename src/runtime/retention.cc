@@ -1,6 +1,7 @@
 #include "src/runtime/retention.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "src/support/logging.h"
 
@@ -51,9 +52,9 @@ void RetentionManager::Configure(const RetentionOptions& options, FeatureStore* 
   store_ = store;
   const size_t n = options_.namespaces.size();
   tracked_.clear();
-  members_.assign(n, {});
   ns_keys_.assign(n, 0);
   ns_bytes_.assign(n, 0);
+  recency_.assign(n, {});
   cursor_ = 0;
   for (const ExportTable::Handle handle : export_handles_) {
     exports_->Remove(handle);
@@ -105,17 +106,45 @@ int32_t RetentionManager::Classify(std::string_view key) const {
   return best;
 }
 
-void RetentionManager::Untrack(KeyId id, Tracked& t) {
-  (void)id;
+void RetentionManager::Untrack(Tracked& t) {
   if (t.valid && t.ns >= 0) {
     ns_keys_[t.ns] -= 1;
     ns_bytes_[t.ns] -= t.bytes;
+    Unlink(t);
   }
   t.valid = false;
   t.ns = -1;
   t.bytes = 0;
-  // in_list stays as-is: the member entry (if any) is pruned by the next
-  // collection pass, which clears the flag.
+}
+
+void RetentionManager::Link(KeyId id, Tracked& t) {
+  Recency& list = recency_[t.ns];
+  // The clock only moves forward, so the newest member never postdates t.
+  assert(list.newest == kInvalidKeyId || tracked_[list.newest].last_write <= t.last_write);
+  t.prev = list.newest;
+  t.next = kInvalidKeyId;
+  if (list.newest != kInvalidKeyId) {
+    tracked_[list.newest].next = id;
+  } else {
+    list.oldest = id;
+  }
+  list.newest = id;
+}
+
+void RetentionManager::Unlink(Tracked& t) {
+  Recency& list = recency_[t.ns];
+  if (t.prev != kInvalidKeyId) {
+    tracked_[t.prev].next = t.next;
+  } else {
+    list.oldest = t.next;
+  }
+  if (t.next != kInvalidKeyId) {
+    tracked_[t.next].prev = t.prev;
+  } else {
+    list.newest = t.prev;
+  }
+  t.prev = kInvalidKeyId;
+  t.next = kInvalidKeyId;
 }
 
 void RetentionManager::OnWrite(const StoreWriteInfo& info, const std::string& key,
@@ -131,14 +160,14 @@ void RetentionManager::OnWrite(const StoreWriteInfo& info, const std::string& ke
     // Pinned keys are lifecycle-exempt; drop any tracking acquired before
     // the owner pinned the id.
     if (t.valid) {
-      Untrack(info.id, t);
+      Untrack(t);
     }
     return;
   }
   if (!t.valid || t.generation != info.generation) {
     // New tenant (first write, or the slot was reclaimed and recycled).
     if (t.valid) {
-      Untrack(info.id, t);
+      Untrack(t);
     }
     const int32_t ns = Classify(key);
     t.generation = info.generation;
@@ -153,12 +182,11 @@ void RetentionManager::OnWrite(const StoreWriteInfo& info, const std::string& ke
     t.ns = ns;
     t.bytes = 0;
     ns_keys_[ns] += 1;
-    if (!t.in_list) {
-      members_[ns].push_back(info.id);
-      t.in_list = true;
-    }
+  } else {
+    Unlink(t);  // relinked below as the namespace's newest member
   }
   t.last_write = now;
+  Link(info.id, t);
   ns_bytes_[t.ns] += info.approx_bytes - t.bytes;
   t.bytes = info.approx_bytes;
 }
@@ -166,7 +194,7 @@ void RetentionManager::OnWrite(const StoreWriteInfo& info, const std::string& ke
 bool RetentionManager::TryReclaim(KeyId id, Tracked& t, bool quota) {
   const Status status = store_->ReclaimKeyId(id);
   if (status.ok()) {
-    Untrack(id, t);
+    Untrack(t);
     if (quota) {
       ++stats_.reclaimed_quota;
     } else {
@@ -179,7 +207,18 @@ bool RetentionManager::TryReclaim(KeyId id, Tracked& t, bool quota) {
   if (status.code() == ErrorCode::kNotFound) {
     ++stats_.stale_tracks_fixed;
   }
-  Untrack(id, t);
+  Untrack(t);
+  return false;
+}
+
+bool RetentionManager::AnyIdleExpired(SimTime now) const {
+  for (size_t i = 0; i < recency_.size(); ++i) {
+    const Duration ttl = options_.namespaces[i].idle_ttl;
+    const KeyId oldest = recency_[i].oldest;
+    if (ttl > 0 && oldest != kInvalidKeyId && now - tracked_[oldest].last_write >= ttl) {
+      return true;
+    }
+  }
   return false;
 }
 
@@ -187,7 +226,16 @@ void RetentionManager::ScanChunk(SimTime now, bool storm) {
   if (tracked_.empty()) {
     return;
   }
-  const uint64_t budget = storm ? tracked_.size() : options_.scan_chunk;
+  const uint64_t size = tracked_.size();
+  const uint64_t budget = storm ? size : options_.scan_chunk;
+  if (!storm && !AnyIdleExpired(now)) {
+    // Every tracked slot is in its namespace's recency list, none of whose
+    // oldest members is past its TTL, so the walk would reclaim nothing and
+    // change nothing but the cursor. Leave the cursor where the walk would.
+    const uint64_t start = cursor_ >= size ? 0 : cursor_;
+    cursor_ = (start + budget - 1) % size + 1;
+    return;
+  }
   for (uint64_t step = 0; step < budget; ++step) {
     if (cursor_ >= tracked_.size()) {
       cursor_ = 0;
@@ -206,8 +254,7 @@ void RetentionManager::ScanChunk(SimTime now, bool storm) {
   }
 }
 
-void RetentionManager::EnforceQuota(SimTime now, bool breach_all) {
-  (void)now;
+void RetentionManager::EnforceQuota(bool breach_all) {
   for (size_t i = 0; i < options_.namespaces.size(); ++i) {
     const uint64_t configured = options_.namespaces[i].max_keys;
     uint64_t budget = configured;
@@ -218,36 +265,26 @@ void RetentionManager::EnforceQuota(SimTime now, bool breach_all) {
     } else if (configured == 0 || ns_keys_[i] <= configured) {
       continue;
     }
-    // Collection pass: compact the member list, recompute the exact count,
-    // and fix any tracking the lazy bookkeeping left behind.
-    std::vector<KeyId>& members = members_[i];
+    // Census over the namespace's members: a tracked slot only counts
+    // against the budget if it still holds the tenant we stamped, since
+    // externally reclaimed or recycled slots would inflate the census and
+    // evict healthy keys. Untracking the rest leaves ns_keys_[i] exact.
     std::vector<KeyId> live;
-    live.reserve(members.size());
-    for (const KeyId id : members) {
+    live.reserve(ns_keys_[i]);
+    for (KeyId id = recency_[i].oldest; id != kInvalidKeyId;) {
       Tracked& t = tracked_[id];
-      if (t.valid && t.ns == static_cast<int32_t>(i)) {
-        // A tracked entry only counts against the budget if the slot still
-        // holds the tenant we stamped: externally reclaimed or recycled
-        // slots would inflate the census and evict healthy keys.
-        if (store_->IsLive(id) && store_->GenerationOf(id) == t.generation) {
-          if (store_->IsPinned(id)) {
-            Untrack(id, t);  // pinned after tracking: now exempt
-            t.in_list = false;
-            continue;
-          }
-          live.push_back(id);
-          continue;
-        }
+      const KeyId next = t.next;
+      if (!store_->IsLive(id) || store_->GenerationOf(id) != t.generation) {
         ++stats_.stale_tracks_fixed;
-        Untrack(id, t);
+        Untrack(t);
+      } else if (store_->IsPinned(id)) {
+        Untrack(t);  // pinned after tracking: now exempt
+      } else {
+        live.push_back(id);
       }
-      t.in_list = false;
+      id = next;
     }
-    members = live;
-    if (ns_keys_[i] != live.size()) {
-      // Count drifted (external reclaims); the exact census wins.
-      ns_keys_[i] = live.size();
-    }
+    assert(ns_keys_[i] == live.size());
     if (budget >= live.size() || live.empty()) {
       continue;
     }
@@ -293,7 +330,7 @@ void RetentionManager::RunAtBoundary(SimTime now) {
     }
   }
   ScanChunk(now, storm);
-  EnforceQuota(now, breach);
+  EnforceQuota(breach);
   if (exports_ == nullptr) {
     return;
   }
@@ -332,12 +369,9 @@ void RetentionManager::AdoptKey(KeyId id, SimTime now) {
   t.generation = store_->GenerationOf(id);
   t.bytes = store_->SlotApproxBytes(id);
   t.last_write = now;
+  Link(id, t);
   ns_keys_[ns] += 1;
   ns_bytes_[ns] += t.bytes;
-  if (!t.in_list) {
-    members_[ns].push_back(id);
-    t.in_list = true;
-  }
 }
 
 uint64_t RetentionManager::ReclaimPrefix(std::string_view prefix) {
@@ -373,14 +407,14 @@ void RetentionManager::RestoreState(const RetentionImage& image) {
   stats_ = image.stats;
 }
 
-void RetentionManager::ResyncAfterRestore(SimTime now) {
+void RetentionManager::ResyncFromStore(SimTime now) {
   if (!options_.enabled || store_ == nullptr) {
     return;
   }
   const size_t n = options_.namespaces.size();
-  members_.assign(n, {});
   ns_keys_.assign(n, 0);
   ns_bytes_.assign(n, 0);
+  recency_.assign(n, {});
   const size_t count = store_->key_count();
   tracked_.assign(count, Tracked{});
   for (KeyId id = 0; id < count; ++id) {
@@ -394,13 +428,12 @@ void RetentionManager::ResyncAfterRestore(SimTime now) {
     Tracked& t = tracked_[id];
     t.ns = ns;
     t.valid = true;
-    t.in_list = true;
     t.generation = store_->GenerationOf(id);
     t.bytes = store_->SlotApproxBytes(id);
-    // Restore-time stamp: write times are not persisted, and both sides of
+    // Resync-time stamp: write times are not persisted, and both sides of
     // a differential restore identically, so this stays deterministic.
     t.last_write = now;
-    members_[ns].push_back(id);
+    Link(id, t);
     ns_keys_[ns] += 1;
     ns_bytes_[ns] += t.bytes;
   }

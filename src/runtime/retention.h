@@ -16,7 +16,11 @@
 //                          by longest-prefix match.
 //   * idle reclamation   — an incremental cursor walks `scan_chunk` slots
 //                          per callout boundary and reclaims governed keys
-//                          whose idle age exceeded their namespace TTL.
+//                          whose idle age exceeded their namespace TTL. A
+//                          per-namespace recency list (oldest write first)
+//                          lets a boundary skip the walk in O(namespaces)
+//                          when no governed key has expired, leaving the
+//                          cursor exactly where the walk would.
 //   * quota eviction     — a namespace over its key budget evicts its
 //                          least-recently-written members first (stable
 //                          tie-break: lower slot id), down to the budget.
@@ -82,7 +86,7 @@ struct RetentionStats {
 // mid-scan must warm-restart with the same cursor and counters so the
 // post-restore trajectory matches in serial and sharded runs. Membership,
 // stamps, and byte gauges are NOT imaged — they are rebuilt exactly by
-// ResyncAfterRestore from the restored store.
+// ResyncFromStore from the restored store.
 struct RetentionImage {
   uint64_t cursor = 0;
   RetentionStats stats;
@@ -126,30 +130,51 @@ class RetentionManager {
 
   RetentionImage ExportState() const;
   void RestoreState(const RetentionImage& image);
-  // Rebuilds membership, counts, and byte gauges from the restored store and
-  // stamps every tracked slot with `now` (restore time). Deterministic: both
-  // sides of a differential restore the same store and resync identically.
-  void ResyncAfterRestore(SimTime now);
+  // Rebuilds tracking, counts, byte gauges, and recency lists from the
+  // store and stamps every tracked slot with `now`. Runs after a warm
+  // restore (deterministic: both sides of a differential restore the same
+  // store and resync identically) and after every (re)configuration, which
+  // would otherwise drop governance of keys that are live but never written
+  // again.
+  void ResyncFromStore(SimTime now);
 
  private:
   // Per-slot tracking. `ns` is an index into options_.namespaces, -1 when
   // the slot's key matches no governed prefix (or the slot is pinned).
+  // A slot is linked into recency_[ns] exactly while `valid`, so the list
+  // is the namespace's membership; `prev` and `next` are slot ids
+  // (kInvalidKeyId at the ends).
   struct Tracked {
     int32_t ns = -1;
-    bool valid = false;    // believed live with this tenant
-    bool in_list = false;  // physically present in members_[ns]
+    bool valid = false;  // believed live with this tenant
     uint32_t generation = 0;
     uint64_t bytes = 0;
     SimTime last_write = 0;
+    KeyId prev = kInvalidKeyId;
+    KeyId next = kInvalidKeyId;
+  };
+
+  // Intrusive per-namespace list of tracked slots in last-write order.
+  // Every stamp is the engine's clock, which only moves forward (a restore
+  // restamps everything), so appending at `newest` on each write keeps the
+  // list sorted and `oldest` is the namespace's least recently written key.
+  struct Recency {
+    KeyId oldest = kInvalidKeyId;
+    KeyId newest = kInvalidKeyId;
   };
 
   int32_t Classify(std::string_view key) const;
-  void Untrack(KeyId id, Tracked& t);
+  void Untrack(Tracked& t);
+  // Appends a valid slot (already stamped) as its namespace's newest.
+  void Link(KeyId id, Tracked& t);
+  void Unlink(Tracked& t);
+  // True when some namespace's least recently written key is past its TTL.
+  bool AnyIdleExpired(SimTime now) const;
   // Reclaims via the store; fixes tracking on pinned/dead surprises.
   // Returns true when the slot was actually reclaimed.
   bool TryReclaim(KeyId id, Tracked& t, bool quota);
   void ScanChunk(SimTime now, bool storm);
-  void EnforceQuota(SimTime now, bool breach_all);
+  void EnforceQuota(bool breach_all);
 
   RetentionOptions options_;
   FeatureStore* store_ = nullptr;
@@ -158,9 +183,9 @@ class RetentionManager {
   ChaosSiteId breach_site_ = kInvalidChaosSite;
 
   std::vector<Tracked> tracked_;
-  std::vector<std::vector<KeyId>> members_;  // per namespace; lazily pruned
-  std::vector<uint64_t> ns_keys_;            // tracked live keys per namespace
-  std::vector<uint64_t> ns_bytes_;           // tracked approx bytes per namespace
+  std::vector<uint64_t> ns_keys_;   // tracked keys per namespace (list length)
+  std::vector<uint64_t> ns_bytes_;  // tracked approx bytes per namespace
+  std::vector<Recency> recency_;    // per namespace
   uint64_t cursor_ = 0;
   RetentionStats stats_;
 

@@ -5,18 +5,24 @@
 //     the incremental cursor, LRU quota eviction with the stable tie-break,
 //     builtin namespace defaults, telemetry publication, chaos storm/breach
 //     injection, self-correcting bookkeeping under external reclaims;
+//   * the idle-TTL skip is exact — randomized op sequences and cursor edge
+//     cases against a reference model of the plain cursor walk;
 //   * engine/kernel integration — TTL reclamation at callout boundaries,
 //     quota-breach ONCHANGE corrective hooks, unloaded-monitor counter
-//     adoption, agent kill-path and session-end eager reclamation, warm
-//     restart carrying the retention image;
+//     adoption, live keys staying governed across a spec reload, agent
+//     kill-path and session-end eager reclamation, warm restart carrying the
+//     retention image;
 //   * off == absent — without a retention block nothing is stamped, no
 //     store.retention.* keys are interned, and agent/session state keeps
 //     the seed lifecycle exactly.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -239,6 +245,25 @@ TEST_F(RetentionTest, BookkeepingConvergesUnderExternalReclaims) {
   EXPECT_EQ(bare.manager.stats().reclaimed_quota, 0u);
 }
 
+TEST_F(RetentionTest, QuotaCountsSlotsRecycledAcrossNamespaces) {
+  // A slot freed from one namespace and recycled into another counts
+  // against the new namespace's budget.
+  RetentionOptions options = OneNamespace("a.", 0, Seconds(1));
+  options.namespaces.push_back(RetentionNamespaceOptions{"b.", 1, 0});
+  BareRetention bare(options);
+  bare.store.Save("a.x", Value(1));
+  bare.now = Seconds(2);
+  bare.manager.RunAtBoundary(bare.now);
+  ASSERT_FALSE(bare.store.Contains("a.x"));
+  bare.store.Save("b.y", Value(1));  // recycles a.x's slot
+  bare.store.Save("b.z", Value(2));
+  bare.manager.RunAtBoundary(bare.now);
+  EXPECT_FALSE(bare.store.Contains("b.y"));  // same stamp: lower slot id first
+  EXPECT_TRUE(bare.store.Contains("b.z"));
+  EXPECT_EQ(bare.manager.stats().reclaimed_quota, 1u);
+  EXPECT_EQ(bare.store.LoadOr("engine.store.keys.b.", Value(-1)).NumericOr(-1.0), 1.0);
+}
+
 TEST_F(RetentionTest, RecycledSlotIsTrackedAsNewTenant) {
   BareRetention bare(OneNamespace("tmp.", 0, Seconds(1)));
   bare.store.Save("tmp.first", Value(1));
@@ -376,6 +401,324 @@ TEST_F(RetentionTest, ReclaimPrefixTearsDownAFamily) {
   EXPECT_TRUE(bare.store.Contains("agent.s8.calls"));
 }
 
+// --- The idle-TTL skip is exact ---
+
+// Reference model of the idle-TTL sweep: per-slot stamps and a cursor that
+// walks `scan_chunk` slots per boundary, with no recency lists and no skip.
+// It covers TTL-only policies (no namespace ever exceeds its key budget), so
+// the manager's quota pass has nothing to do.
+struct WalkModel {
+  struct Slot {
+    int32_t ns = -1;  // -1: untracked (ungoverned, pinned, or reclaimed)
+    uint32_t generation = 0;
+    SimTime last_write = 0;
+  };
+
+  FeatureStore store;
+  RetentionOptions options;
+  std::vector<Slot> slots;
+  uint64_t cursor = 0;
+  RetentionStats stats;
+  SimTime now = 0;
+
+  explicit WalkModel(const RetentionOptions& opts) : options(opts) {
+    store.SetWriteObserver([this](const StoreWriteInfo& info, const std::string& key) {
+      if (info.id >= slots.size()) {
+        slots.resize(info.id + 1);
+      }
+      Slot& s = slots[info.id];
+      if (info.pinned) {
+        s.ns = -1;
+        return;
+      }
+      if (s.ns < 0 || s.generation != info.generation) {
+        s.generation = info.generation;
+        s.ns = Classify(key);
+      }
+      s.last_write = now;
+    });
+  }
+
+  int32_t Classify(std::string_view key) const {
+    int32_t best = -1;
+    size_t best_len = 0;
+    for (size_t i = 0; i < options.namespaces.size(); ++i) {
+      const std::string& prefix = options.namespaces[i].prefix;
+      if (key.substr(0, prefix.size()) == prefix && prefix.size() >= best_len) {
+        best = static_cast<int32_t>(i);
+        best_len = prefix.size();
+      }
+    }
+    return best;
+  }
+
+  bool Reclaim(KeyId id) {
+    const Status status = store.ReclaimKeyId(id);
+    if (status.ok()) {
+      ++stats.reclaimed_idle;
+    } else if (status.code() == ErrorCode::kNotFound) {
+      ++stats.stale_tracks_fixed;
+    }
+    slots[id].ns = -1;
+    return status.ok();
+  }
+
+  void Boundary(bool storm) {
+    stats.chaos_storms += storm ? 1 : 0;
+    if (slots.empty()) {
+      return;
+    }
+    const uint64_t budget = storm ? slots.size() : options.scan_chunk;
+    for (uint64_t step = 0; step < budget; ++step) {
+      if (cursor >= slots.size()) {
+        cursor = 0;
+      }
+      const KeyId id = static_cast<KeyId>(cursor++);
+      const Slot& s = slots[id];
+      if (s.ns < 0) {
+        continue;
+      }
+      const Duration ttl = options.namespaces[s.ns].idle_ttl;
+      if (storm || (ttl > 0 && now - s.last_write >= ttl)) {
+        Reclaim(id);
+      }
+    }
+  }
+
+  uint64_t ReclaimPrefix(std::string_view prefix) {
+    uint64_t reclaimed = 0;
+    for (KeyId id = 0; id < slots.size(); ++id) {
+      if (slots[id].ns >= 0 && store.KeyName(id).substr(0, prefix.size()) == prefix) {
+        reclaimed += Reclaim(id) ? 1 : 0;
+      }
+    }
+    return reclaimed;
+  }
+
+  void Adopt(KeyId id) {
+    if (id >= store.key_count() || !store.IsLive(id) || store.IsPinned(id)) {
+      return;
+    }
+    const int32_t ns = Classify(store.KeyName(id));
+    if (ns < 0) {
+      return;
+    }
+    if (id >= slots.size()) {
+      slots.resize(id + 1);
+    }
+    if (slots[id].ns >= 0) {
+      return;
+    }
+    slots[id] = Slot{ns, store.GenerationOf(id), now};
+  }
+};
+
+// Drives the manager (on its own store) and the reference model through the
+// same operations and compares them after every boundary: the live key set,
+// the free-list order, the stats, and the cursor.
+class SkipHarness {
+ public:
+  // `storms`: 0-based boundary indices where store.evict_storm fires.
+  SkipHarness(const RetentionOptions& options, std::vector<uint64_t> storms)
+      : model_(options), chaos_(1) {
+    RetentionOptions enabled = options;
+    enabled.enabled = true;
+    manager_.Configure(enabled, &store_, nullptr);
+    store_.SetWriteObserver([this](const StoreWriteInfo& info, const std::string& key) {
+      manager_.OnWrite(info, key, now_);
+    });
+    for (const uint64_t nth : storms) {
+      storm_at_.resize(std::max<size_t>(storm_at_.size(), nth + 1), false);
+      storm_at_[nth] = true;
+    }
+    if (!storms.empty()) {
+      FaultPlanConfig plan;
+      plan.mode = FaultMode::kSchedule;
+      plan.nth = std::move(storms);
+      EXPECT_TRUE(chaos_.Arm(kChaosSiteStoreEvictStorm, plan).ok());
+      manager_.AttachChaos(&chaos_);
+    }
+  }
+
+  RetentionManager& manager() { return manager_; }
+  WalkModel& model() { return model_; }
+
+  void Advance(Duration d) {
+    now_ += d;
+    model_.now = now_;
+  }
+  void Save(const std::string& key, int64_t v) {
+    store_.Save(key, Value(v));
+    model_.store.Save(key, Value(v));
+  }
+  void Pin(const std::string& key) {
+    store_.Pin(store_.InternKey(key));
+    model_.store.Pin(model_.store.InternKey(key));
+  }
+  // Unpins a live key and hands it to retention, as a monitor unload does.
+  void UnpinAndAdopt(const std::string& key) {
+    const KeyId id = store_.FindKey(key);
+    if (id == kInvalidKeyId || !store_.IsLive(id)) {
+      return;
+    }
+    store_.Unpin(id);
+    manager_.AdoptKey(id, now_);
+    model_.store.Unpin(id);
+    model_.Adopt(id);
+  }
+  void ExternalReclaim(const std::string& key) {
+    EXPECT_EQ(store_.ReclaimKey(key).code(), model_.store.ReclaimKey(key).code()) << key;
+  }
+  void ReclaimPrefix(const std::string& prefix) {
+    EXPECT_EQ(manager_.ReclaimPrefix(prefix), model_.ReclaimPrefix(prefix)) << prefix;
+  }
+  void Boundary() {
+    const bool storm = boundaries_ < storm_at_.size() && storm_at_[boundaries_];
+    ++boundaries_;
+    manager_.RunAtBoundary(now_);
+    model_.Boundary(storm);
+    Compare();
+  }
+
+  void Compare() {
+    const std::string where = "boundary " + std::to_string(boundaries_);
+    ASSERT_EQ(store_.key_count(), model_.store.key_count()) << where;
+    const std::vector<StoreSlotDump> got = store_.DumpSlots();
+    const std::vector<StoreSlotDump> want = model_.store.DumpSlots();
+    for (size_t id = 0; id < got.size(); ++id) {
+      ASSERT_EQ(got[id].live, want[id].live) << where << " slot " << id;
+      ASSERT_EQ(got[id].key, want[id].key) << where << " slot " << id;
+      ASSERT_EQ(got[id].generation, want[id].generation) << where << " slot " << id;
+      ASSERT_EQ(got[id].free_rank, want[id].free_rank) << where << " slot " << id;
+    }
+    const RetentionStats& a = manager_.stats();
+    const RetentionStats& b = model_.stats;
+    EXPECT_EQ(a.reclaimed_idle, b.reclaimed_idle) << where;
+    EXPECT_EQ(a.reclaimed_quota, 0u) << where;
+    EXPECT_EQ(a.quota_breaches, 0u) << where;
+    EXPECT_EQ(a.chaos_storms, b.chaos_storms) << where;
+    EXPECT_EQ(a.chaos_breaches, 0u) << where;
+    EXPECT_EQ(a.stale_tracks_fixed, b.stale_tracks_fixed) << where;
+    EXPECT_EQ(manager_.ExportState().cursor, model_.cursor) << where;
+  }
+
+ private:
+  FeatureStore store_;
+  RetentionManager manager_;
+  WalkModel model_;
+  ChaosEngine chaos_;
+  SimTime now_ = 0;
+  uint64_t boundaries_ = 0;
+  std::vector<bool> storm_at_;
+};
+
+RetentionOptions SkipOptions(uint64_t scan_chunk) {
+  RetentionOptions options;
+  options.scan_chunk = scan_chunk;
+  options.namespaces = {
+      RetentionNamespaceOptions{"a.", 0, Milliseconds(50)},
+      RetentionNamespaceOptions{"a.b.", 0, Milliseconds(400)},
+      // Governed but never idle-reclaimed; the budget is never reached.
+      RetentionNamespaceOptions{"c.", uint64_t{1} << 40, 0},
+  };
+  return options;
+}
+
+TEST_F(RetentionTest, IdleSkipMatchesTheCursorWalk) {
+  const char* const families[] = {"a.", "a.b.", "c.", "u."};  // u.: ungoverned
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    auto pick = [&rng](uint64_t n) { return static_cast<uint64_t>(rng() % n); };
+    // Chunks from one slot to past any table size this sequence builds.
+    const uint64_t chunks[] = {1, 3, 16, 64, 5000};
+    std::vector<uint64_t> storms;
+    for (uint64_t b = 0; b < 120; ++b) {
+      if (pick(25) == 0) {
+        storms.push_back(b);
+      }
+    }
+    SkipHarness h(SkipOptions(chunks[pick(5)]), storms);
+    uint64_t pool = 4;  // grows, so the slot table grows mid-sequence
+    auto key = [&](uint64_t family) {
+      return std::string(families[family]) + "k" + std::to_string(pick(pool));
+    };
+    for (int boundary = 0; boundary < 120; ++boundary) {
+      const uint64_t ops = pick(12);
+      for (uint64_t op = 0; op < ops; ++op) {
+        const uint64_t kind = pick(20);
+        if (kind < 11) {
+          h.Save(key(pick(4)), static_cast<int64_t>(rng() % 100));
+        } else if (kind < 12) {
+          h.Pin(key(pick(4)));
+        } else if (kind < 13) {
+          h.UnpinAndAdopt(key(pick(4)));
+        } else if (kind < 16) {
+          h.ExternalReclaim(key(pick(4)));
+        } else if (kind < 17) {
+          h.ReclaimPrefix(key(pick(2)));
+        } else {
+          pool += pick(3);
+        }
+      }
+      // Mostly short steps, sometimes far past one or both TTLs.
+      const uint64_t jump = pick(10);
+      h.Advance(jump < 7 ? Milliseconds(pick(20)) : Milliseconds(50 + pick(700)));
+      h.Boundary();
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+TEST_F(RetentionTest, IdleSkipCursorEdgeCases) {
+  {
+    // Empty table: the walk has nothing to visit and the cursor stays put.
+    SkipHarness h(SkipOptions(8), {});
+    h.Boundary();
+    h.Advance(Seconds(10));
+    h.Boundary();
+    EXPECT_EQ(h.manager().ExportState().cursor, 0u);
+  }
+  {
+    // A chunk equal to the table leaves the cursor at the table size; the
+    // next boundary wraps from there.
+    SkipHarness h(SkipOptions(4), {});
+    for (int i = 0; i < 4; ++i) {
+      h.Save("a.k" + std::to_string(i), i);
+    }
+    h.Boundary();
+    EXPECT_EQ(h.manager().ExportState().cursor, 4u);
+    h.Boundary();
+    EXPECT_EQ(h.manager().ExportState().cursor, 4u);
+    // Restored cursors at and past the table size wrap to the start.
+    for (const uint64_t cursor : {uint64_t{4}, uint64_t{9}}) {
+      h.manager().RestoreState(RetentionImage{cursor, h.manager().stats()});
+      h.model().cursor = cursor;
+      h.Boundary();
+    }
+    h.Advance(Milliseconds(60));  // every "a." key expires: the walk runs
+    h.Boundary();
+    EXPECT_EQ(h.manager().stats().reclaimed_idle, 4u);
+  }
+  {
+    // A chunk larger than the table laps it several times per boundary.
+    SkipHarness h(SkipOptions(10), {});
+    for (int i = 0; i < 3; ++i) {
+      h.Save("a.b.k" + std::to_string(i), i);
+    }
+    h.Boundary();
+    EXPECT_EQ(h.manager().ExportState().cursor, 1u);  // (0 + 10 - 1) % 3 + 1
+    h.Save("c.k0", 0);  // table grows to 4
+    h.Boundary();
+    EXPECT_EQ(h.manager().ExportState().cursor, 3u);  // (1 + 10 - 1) % 4 + 1
+    h.Advance(Milliseconds(400));
+    h.Boundary();
+    EXPECT_EQ(h.manager().stats().reclaimed_idle, 3u);
+  }
+}
+
 // --- Engine / kernel integration ---
 
 constexpr char kKernelRetentionSpec[] = R"(
@@ -395,6 +738,22 @@ TEST_F(RetentionTest, KernelReclaimsIdleKeysAtCalloutBoundaries) {
   kernel.Run(Milliseconds(500));
   EXPECT_TRUE(kernel.store().Contains("tmp.scratch"));  // not idle yet
   kernel.Run(Seconds(2));
+  EXPECT_FALSE(kernel.store().Contains("tmp.scratch"));
+  EXPECT_EQ(LoadNum(kernel, "store.retention.reclaimed"), 1.0);
+}
+
+TEST_F(RetentionTest, ReloadKeepsGoverningLiveKeys) {
+  // Reloading a spec with a retention block reconfigures the manager; keys
+  // that are live but never written again must stay governed.
+  Kernel kernel;
+  ASSERT_TRUE(kernel.LoadGuardrails(kKernelRetentionSpec).ok());
+  kernel.Run(Milliseconds(1));
+  kernel.store().Save("tmp.scratch", Value(42));
+  kernel.Run(Milliseconds(500));
+  ASSERT_TRUE(kernel.LoadGuardrails(kKernelRetentionSpec).ok());
+  kernel.Run(Milliseconds(1400));  // idle 900ms since the reload restamp
+  EXPECT_TRUE(kernel.store().Contains("tmp.scratch"));
+  kernel.Run(Seconds(6));
   EXPECT_FALSE(kernel.store().Contains("tmp.scratch"));
   EXPECT_EQ(LoadNum(kernel, "store.retention.reclaimed"), 1.0);
 }
