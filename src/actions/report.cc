@@ -1,6 +1,5 @@
 #include "src/actions/report.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/support/logging.h"
@@ -96,9 +95,7 @@ ReporterSnapshot Reporter::SnapshotCounters() const {
   ReporterSnapshot snapshot;
   snapshot.next_sequence = next_sequence_;
   snapshot.per_guardrail.assign(per_guardrail_.begin(), per_guardrail_.end());
-  std::sort(snapshot.per_guardrail.begin(), snapshot.per_guardrail.end());
   snapshot.per_kind.assign(per_kind_.begin(), per_kind_.end());
-  std::sort(snapshot.per_kind.begin(), snapshot.per_kind.end());
   return snapshot;
 }
 

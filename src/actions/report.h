@@ -12,9 +12,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/dsl/sema.h"
@@ -107,6 +107,15 @@ class Reporter {
   // --- Persistence (osguard::persist) ---
 
   ReporterSnapshot SnapshotCounters() const;
+  // Calls fn(next_sequence, per_guardrail, per_kind) with the counter maps
+  // (in key order, the order SnapshotCounters lists them in) under the
+  // reporter's lock and without copying. `fn` must not call back into the
+  // reporter.
+  template <typename Fn>
+  void VisitCounters(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    fn(next_sequence_, per_guardrail_, per_kind_);
+  }
   void RestoreCounters(const ReporterSnapshot& snapshot);
 
   // Re-inserts a persisted record verbatim: the stored sequence number is
@@ -127,8 +136,9 @@ class Reporter {
   size_t capacity_;
   uint64_t next_sequence_ = 0;
   std::deque<ReportRecord> records_;
-  std::unordered_map<std::string, uint64_t> per_guardrail_;
-  std::unordered_map<int, uint64_t> per_kind_;
+  // Ordered, so the persisted image walks them in place.
+  std::map<std::string, uint64_t> per_guardrail_;
+  std::map<int, uint64_t> per_kind_;
 };
 
 }  // namespace osguard

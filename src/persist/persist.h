@@ -41,7 +41,6 @@
 #define SRC_PERSIST_PERSIST_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,7 +55,9 @@ namespace osguard {
 
 // One journaled store mutation, keyed by name (KeyIds are not stable across
 // a reboot). Replay goes through the store's public API, which reconstructs
-// the incremental series state deterministically.
+// the incremental series state deterministically. The manager's mutation
+// observer writes the same wire bytes straight from the StoreMutation; this
+// struct is what decoding produces and what AppendFrame encodes.
 struct StoreOp {
   StoreMutation::Kind kind = StoreMutation::Kind::kSave;
   std::string key;
@@ -189,13 +190,14 @@ class PersistManager {
   void Configure(Duration snapshot_interval, uint64_t journal_budget);
 
   // Installs the mutation tap on `store` (null detaches): every committed
-  // store mutation is buffered as a pending StoreOp for the next frame.
+  // store mutation is encoded at once into the pending ops of the next
+  // frame.
   void AttachStore(FeatureStore* store);
 
   // Marks engine-side state (monitor stats, breaker, tier...) changed since
   // the last commit. Store mutations mark dirty implicitly.
   void MarkDirty() { dirty_ = true; }
-  bool dirty() const { return dirty_ || !pending_ops_.empty(); }
+  bool dirty() const { return dirty_ || pending_op_count_ > 0; }
 
   uint64_t last_committed_seq() const { return seq_; }
   SimTime last_snapshot_time() const { return last_snapshot_time_; }
@@ -203,6 +205,7 @@ class PersistManager {
   const PersistOptions& options() const { return options_; }
 
   // Creates the directory and opens the journal for appending (idempotent).
+  // Each frame then reaches the file with one write(2).
   // Call LoadForRecovery() first when recovering; Open() on a fresh
   // directory starts the journal at sequence 1.
   Status Open();
@@ -210,9 +213,14 @@ class PersistManager {
   // Commits everything since the last commit as one frame: pending store
   // ops + the engine's report delta and state image. The frame is a delta
   // against the last committed image when there is one and the delta is
-  // smaller, else a key frame. No-op when clean.
+  // smaller, else a key frame. No-op when clean. On OK the frame has reached
+  // the kernel (not the disk: nothing is fsync'ed).
   // Damage injected by chaos is deliberately not reported here — a real
-  // kernel does not learn about lost writes synchronously either.
+  // kernel does not learn about lost writes synchronously either. A real
+  // write error is: the journal is cut back to the end of the last good
+  // frame, the pending ops stay for the next commit, and that commit writes
+  // a key frame. If the journal cannot be cut back it is closed, and every
+  // later commit fails with FailedPrecondition.
   Status CommitFrame(SimTime now, std::string_view report_delta, std::string_view image);
 
   // True when a compacted snapshot should follow the next commit (interval
@@ -236,9 +244,10 @@ class PersistManager {
  private:
   std::string JournalPath() const;
   std::string SnapshotPath(uint64_t seq) const;
-  // Writes frame_buf_ (one encoded frame) to the journal, applying any
-  // injected damage to the file.
+  // Writes the encoded frame to the journal, applying any injected damage to
+  // the file.
   Status AppendToJournal(SimTime now);
+  void CloseJournal();
   void PruneSnapshots();
 
   PersistOptions options_;
@@ -249,14 +258,19 @@ class PersistManager {
   ChaosSiteId truncate_site_ = kInvalidChaosSite;
   ChaosSiteId snapshot_fail_site_ = kInvalidChaosSite;
 
-  std::FILE* journal_ = nullptr;
+  int journal_ = -1;            // journal file descriptor, O_APPEND
   uint64_t journal_bytes_ = 0;  // current journal file size
   uint64_t seq_ = 0;            // last committed frame sequence
   SimTime last_snapshot_time_ = 0;
   bool dirty_ = false;
-  std::vector<StoreOp> pending_ops_;
-  // Encode buffer reused across commits.
+  // Store ops since the last commit, in wire form. The writers stay live
+  // for the manager's lifetime, so their buffers are reused across commits.
+  std::string pending_ops_buf_;
+  ByteWriter pending_ops_{&pending_ops_buf_};
+  uint32_t pending_op_count_ = 0;
+  // The frame being committed.
   std::string frame_buf_;
+  ByteWriter frame_{&frame_buf_};
   // The image of the last frame written, the base of the next delta frame.
   // Without one (after Open, LoadForRecovery, a rotation or a failed
   // append) the next frame is a key frame.

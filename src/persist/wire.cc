@@ -1,5 +1,6 @@
 #include "src/persist/wire.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <utility>
@@ -59,6 +60,13 @@ uint32_t Crc32(std::string_view data) {
     crc = t[0][(crc ^ static_cast<uint8_t>(*p)) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
+}
+
+void ByteWriter::Grow(size_t n) {
+  out_->resize(std::max(2 * cap_, pos_ + n));
+  out_->resize(out_->capacity());
+  buf_ = out_->data();
+  cap_ = out_->size();
 }
 
 Result<uint8_t> ByteReader::U8() {

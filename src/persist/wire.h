@@ -37,38 +37,83 @@ static_assert(std::endian::native == std::endian::little,
 // layer frames every payload with this.
 uint32_t Crc32(std::string_view data);
 
-// Appends primitives to a caller-owned buffer. Multi-byte values are
-// appended as whole words.
+// Appends primitives to a caller-owned buffer. Each field is stored at a
+// cursor behind one inline bounds check; only growth leaves the inline path,
+// and it doubles the buffer. While the writer is live the string is held at
+// its full capacity (the bytes past the cursor are scratch); the destructor
+// cuts it to what was written. Offsets (size(), PatchU32, Truncate, View)
+// count from the start of the string, as they would after the writer is
+// gone. At most one writer may be live on a string at a time.
 class ByteWriter {
  public:
-  explicit ByteWriter(std::string* out) : out_(out) {}
+  explicit ByteWriter(std::string* out) : out_(out), pos_(out->size()) {
+    out_->resize(out_->capacity());
+    buf_ = out_->data();
+    cap_ = out_->size();
+  }
+  ~ByteWriter() { out_->resize(pos_); }
+  ByteWriter(const ByteWriter&) = delete;
+  ByteWriter& operator=(const ByteWriter&) = delete;
 
-  void U8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
+  void U8(uint8_t v) {
+    Reserve(1);
+    buf_[pos_++] = static_cast<char>(v);
+  }
   void U32(uint32_t v) { Word(v); }
   void U64(uint64_t v) { Word(v); }
   void I64(int64_t v) { Word(v); }
   void F64(double v) { Word(v); }
   // u32 length prefix + raw bytes.
   void Str(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    out_->append(s);
+    Reserve(sizeof(uint32_t) + s.size());
+    const auto len = static_cast<uint32_t>(s.size());
+    std::memcpy(buf_ + pos_, &len, sizeof(len));
+    Copy(pos_ + sizeof(len), s);
+    pos_ += sizeof(len) + s.size();
   }
-  void Raw(std::string_view bytes) { out_->append(bytes); }
+  void Raw(std::string_view bytes) {
+    Reserve(bytes.size());
+    Copy(pos_, bytes);
+    pos_ += bytes.size();
+  }
   // Overwrites four already-written bytes at `offset` (a length or count
   // that is only known once what follows it has been written).
-  void PatchU32(size_t offset, uint32_t v) { std::memcpy(out_->data() + offset, &v, sizeof(v)); }
+  void PatchU32(size_t offset, uint32_t v) { std::memcpy(buf_ + offset, &v, sizeof(v)); }
+  // Overwrites already-written bytes at `offset`.
+  void Patch(size_t offset, std::string_view bytes) { Copy(offset, bytes); }
+  // Drops everything written past `size` (which must not exceed size()).
+  void Truncate(size_t size) { pos_ = size; }
 
-  std::string* out() { return out_; }
+  // Bytes in the string so far, as size() will read once the writer is gone.
+  size_t size() const { return pos_; }
+  // The bytes written from `offset` up to the cursor. Valid until the next
+  // write.
+  std::string_view View(size_t offset) const { return {buf_ + offset, pos_ - offset}; }
 
  private:
+  void Reserve(size_t n) {
+    if (n > cap_ - pos_) [[unlikely]] {
+      Grow(n);
+    }
+  }
+  // Doubles the buffer (at least to fit `n` more bytes). Out of line.
+  void Grow(size_t n);
+  void Copy(size_t offset, std::string_view bytes) {
+    if (!bytes.empty()) {
+      std::memcpy(buf_ + offset, bytes.data(), bytes.size());
+    }
+  }
   template <typename T>
   void Word(T v) {
-    char bytes[sizeof(T)];
-    std::memcpy(bytes, &v, sizeof(T));
-    out_->append(bytes, sizeof(T));
+    Reserve(sizeof(T));
+    std::memcpy(buf_ + pos_, &v, sizeof(T));
+    pos_ += sizeof(T);
   }
 
   std::string* out_;
+  char* buf_;
+  size_t pos_;
+  size_t cap_;
 };
 
 // Sequential bounds-checked reads over a borrowed buffer. All errors carry

@@ -1347,40 +1347,46 @@ void Engine::EncodeImageTo(std::string* out) const {
   w.I64(actions.latency_min_ns);
   w.I64(actions.latency_max_ns);
   w.I64(actions.latency_total_ns);
-  const ReporterSnapshot reports = reporter_.SnapshotCounters();
-  w.U64(reports.next_sequence);
-  w.U32(static_cast<uint32_t>(reports.per_guardrail.size()));
-  for (const auto& [guardrail, count] : reports.per_guardrail) {
-    w.Str(guardrail);
-    w.U64(count);
-  }
-  w.U32(static_cast<uint32_t>(reports.per_kind.size()));
-  for (const auto& [kind, count] : reports.per_kind) {
-    w.U32(static_cast<uint32_t>(kind));
-    w.U64(count);
-  }
-  const RetrainQueueState retrain = retrain_queue_.ExportState();
-  w.U32(static_cast<uint32_t>(retrain.queue.size()));
-  for (const RetrainRequest& request : retrain.queue) {
-    w.Str(request.model);
-    w.Str(request.data_key);
-    w.I64(request.requested_at);
-  }
-  w.U32(static_cast<uint32_t>(retrain.last_accepted.size()));
-  for (const auto& [model, at] : retrain.last_accepted) {
-    w.Str(model);
-    w.I64(at);
-  }
-  w.U32(static_cast<uint32_t>(retrain.queued_count.size()));
-  for (const auto& [model, count] : retrain.queued_count) {
-    w.Str(model);
-    w.I64(count);
-  }
-  w.U64(retrain.stats.accepted);
-  w.U64(retrain.stats.throttled);
-  w.U64(retrain.stats.coalesced);
-  w.U64(retrain.stats.overflowed);
-  w.U64(retrain.stats.drained);
+  // The reporter's and the retrain queue's maps are ordered, so they are
+  // written in place, in key order, under their owners' locks.
+  reporter_.VisitCounters([&](uint64_t next_sequence, const auto& per_guardrail,
+                              const auto& per_kind) {
+    w.U64(next_sequence);
+    w.U32(static_cast<uint32_t>(per_guardrail.size()));
+    for (const auto& [guardrail, count] : per_guardrail) {
+      w.Str(guardrail);
+      w.U64(count);
+    }
+    w.U32(static_cast<uint32_t>(per_kind.size()));
+    for (const auto& [kind, count] : per_kind) {
+      w.U32(static_cast<uint32_t>(kind));
+      w.U64(count);
+    }
+  });
+  retrain_queue_.VisitState([&](const auto& queue, const auto& last_accepted,
+                                const auto& queued_count, const RetrainQueueStats& stats) {
+    w.U32(static_cast<uint32_t>(queue.size()));
+    for (const RetrainRequest& request : queue) {
+      w.Str(request.model);
+      w.Str(request.data_key);
+      w.I64(request.requested_at);
+    }
+    w.U32(static_cast<uint32_t>(last_accepted.size()));
+    for (const auto& [model, at] : last_accepted) {
+      w.Str(model);
+      w.I64(at);
+    }
+    w.U32(static_cast<uint32_t>(queued_count.size()));
+    for (const auto& [model, count] : queued_count) {
+      w.Str(model);
+      w.I64(count);
+    }
+    w.U64(stats.accepted);
+    w.U64(stats.throttled);
+    w.U64(stats.coalesced);
+    w.U64(stats.overflowed);
+    w.U64(stats.drained);
+  });
   const SupervisorStats& sup = supervisor_.stats();
   w.U64(sup.supervised);
   w.U64(sup.budget_aborts);
@@ -1424,9 +1430,9 @@ void Engine::EncodeImageTo(std::string* out) const {
   }
   // Live timer entries in heap pop order, (due, tiebreak); tiebreaks are
   // unique, so the order is total. Stale entries are stale forever, so they
-  // are not worth persisting.
-  std::vector<const TimerEntry*> live;
-  live.reserve(timers_.size());
+  // are not worth persisting. The sort reuses one vector across commits.
+  std::vector<const TimerEntry*>& live = live_timers_;
+  live.clear();
   for (const TimerEntry& entry : timers_.entries()) {
     if (ResolveEntry(entry) != nullptr) {
       live.push_back(&entry);
@@ -1641,7 +1647,7 @@ Status Engine::ApplyImage(std::string_view image) {
 
 void Engine::EncodeReportDelta(uint64_t from, std::string* out) const {
   ByteWriter w(out);
-  const size_t count_at = out->size();
+  const size_t count_at = w.size();
   w.U32(0);
   uint32_t count = 0;
   reporter_.VisitSince(from, [&](const ReportRecord& record) {

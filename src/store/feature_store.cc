@@ -162,12 +162,16 @@ Status FeatureStore::ReclaimLocked(KeyId id, StoreMutation* m, bool* capture,
     m->kind = StoreMutation::Kind::kErase;
     m->id = id;
     m->reclaim = true;
-    *name = slot.key;  // the slot's copy is cleared below
   }
   SeqWriteGuard seq(this);
   index_.erase(slot.key);
   // Drop the tenant name too: a dead slot must account (and dump) exactly
   // like a restored dead slot, or byte telemetry diverges across restarts.
+  // The mutation observer takes the name itself; moving it out allocates
+  // nothing, and a recycled slot gets a new key string either way.
+  if (*capture) {
+    *name = std::move(slot.key);
+  }
   slot.key.clear();
   slot.has_scalar = false;
   slot.scalar = Value();
